@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-train bench bench-json bench-gate smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
+.PHONY: all build test vet lint race race-train bench bench-json bench-gate bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
 
 all: ci
 
@@ -73,6 +73,17 @@ bench-json:
 bench-gate:
 	@test -n "$(BENCH_LATEST)" || { echo "bench-gate: no committed BENCH_PR*.json to gate"; exit 1; }
 	$(GO) run ./tools/benchjson -gate BENCH_PR$(BENCH_LATEST).json
+
+# bench-smoke keeps the repository benchmark building and passing its
+# own checks. tools/bench is its own module, so `make ci` never compiles
+# it and a kernel signature change would break it unnoticed: vet and
+# test the module, then run every workload once at smoke sizes with
+# tracing on — which also runs the shadow-step bit-identity check
+# against interp/mover/phasespace/nn. The numbers it prints mean nothing.
+bench-smoke:
+	$(GO) vet -C tools/bench ./...
+	$(GO) test -C tools/bench ./...
+	$(GO) run -C tools/bench dlpic/tools/bench -quick -workload all -trace 1
 
 # smoke-campaign is the CI interrupt/resume check: run a tiny
 # multi-method campaign with a journal, truncate the journal to its

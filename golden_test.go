@@ -1,0 +1,122 @@
+package dlpic
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
+	"testing"
+
+	"dlpic/internal/core"
+	"dlpic/internal/dataset"
+	"dlpic/internal/interp"
+	"dlpic/internal/phasespace"
+	"dlpic/internal/pic"
+)
+
+// The determinism tests elsewhere compare a run with itself at another
+// worker count; these pin values across commits, so a kernel rewrite
+// that changes one bit of any trajectory fails here. The hashes were
+// captured on linux/amd64 (no fused multiply-add); architectures where
+// the compiler fuses x*y+z round differently and are skipped.
+
+func hashFloats(slices ...[]float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, s := range slices {
+		for _, v := range s {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+func skipUnlessAMD64(t *testing.T) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hashes are pinned for amd64, not %s", runtime.GOARCH)
+	}
+}
+
+func TestGoldenStateHashes(t *testing.T) {
+	skipUnlessAMD64(t)
+	if testing.Short() {
+		t.Skip("paper-scale runs")
+	}
+	paper := func(seed uint64, scheme interp.Scheme) pic.Config {
+		cfg := pic.Default()
+		cfg.V0, cfg.Vth, cfg.ParticlesPerCell = 0.2, 0.025, 1000
+		cfg.Seed = seed
+		cfg.Scheme = scheme
+		return cfg
+	}
+	oracle := func(binning interp.Scheme) func(pic.Config) (pic.FieldMethod, error) {
+		return func(cfg pic.Config) (pic.FieldMethod, error) {
+			spec := phasespace.DefaultSpec(cfg.Length)
+			spec.Binning = binning
+			return core.NewOracleSolver(cfg, spec)
+		}
+	}
+	cases := []struct {
+		name   string
+		cfg    pic.Config
+		method func(pic.Config) (pic.FieldMethod, error)
+		want   string
+	}{
+		{"traditional/NGP", paper(11, interp.NGP), nil, "8073eda5ad9b1e3d"},
+		{"traditional/CIC", paper(11, interp.CIC), nil, "a576de522fcb763d"},
+		{"traditional/TSC", paper(11, interp.TSC), nil, "54b72441ff62e0f6"},
+		{"oracle/NGP-binning", paper(12, interp.CIC), oracle(interp.NGP), "523f32674b967508"},
+		{"oracle/CIC-binning", paper(12, interp.CIC), oracle(interp.CIC), "9912adbf959a8490"},
+	}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			var method pic.FieldMethod
+			if c.method != nil {
+				m, err := c.method(c.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				method = m
+			}
+			sim, err := pic.New(c.cfg, method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Run(200, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := hashFloats(sim.P.X, sim.P.V, sim.E); got != c.want {
+				t.Errorf("%s at GOMAXPROCS=%d: state hash %s, want %s", c.name, procs, got, c.want)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+func TestGoldenCorpusHash(t *testing.T) {
+	skipUnlessAMD64(t)
+	base := pic.Default()
+	base.ParticlesPerCell = 100 // 6400 particles: the binning spans several chunks
+	const want = "ef9bc2ad7c2b22ae"
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2} {
+			ds, err := dataset.Generate(dataset.GenerateOpts{
+				Base: base, V0s: []float64{0.15, 0.2}, Vths: []float64{0.01},
+				Repeats: 2, Steps: 20, SampleEvery: 2,
+				Spec: phasespace.DefaultSpec(base.Length), Seed: 13, Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hashFloats(ds.Inputs.Data, ds.Targets.Data); got != want {
+				t.Errorf("corpus at GOMAXPROCS=%d Workers=%d: hash %s, want %s", procs, workers, got, want)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}

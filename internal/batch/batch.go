@@ -336,8 +336,12 @@ func (s *Server) NewFieldMethod(spec phasespace.GridSpec, norm phasespace.Normal
 func (m *FieldMethod) Name() string { return "dl-batched" }
 
 // ComputeField implements pic.FieldMethod: bin, normalize, and predict
-// through the shared server.
+// through the shared server. As in core.NNSolver, the binning box must
+// be the simulation's.
 func (m *FieldMethod) ComputeField(sim *pic.Simulation, e []float64) error {
+	if l := m.hist.Spec.L; l != sim.Cfg.Length {
+		return fmt.Errorf("batch: model binned over box length %v, simulation box is %v", l, sim.Cfg.Length)
+	}
 	if err := m.hist.Bin(sim.P.X, sim.P.V); err != nil {
 		return err
 	}

@@ -1,11 +1,15 @@
 package batch
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"dlpic/internal/interp"
 	"dlpic/internal/nn"
+	"dlpic/internal/phasespace"
+	"dlpic/internal/pic"
 	"dlpic/internal/rng"
 )
 
@@ -221,5 +225,38 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	if _, err := NewNetworkServer(nil, 0); err == nil {
 		t.Fatal("nil network accepted")
+	}
+}
+
+// The batched field method holds the same box-length contract as
+// core.NNSolver: a binning box that is not the simulation's is an error
+// at the first field solve.
+func TestFieldMethodRejectsOtherBoxLength(t *testing.T) {
+	cfg := pic.Default()
+	cfg.Cells = 16
+	cfg.ParticlesPerCell = 4
+	spec := phasespace.GridSpec{NX: 16, NV: 8, L: 2 * cfg.Length, VMin: -0.8, VMax: 0.8, Binning: interp.NGP}
+	net, err := nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: cfg.Cells, Hidden: 8, HiddenLayers: 1}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewNetworkServer(net, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	method, err := srv.NewFieldMethod(spec, phasespace.Normalizer{Max: 1}, cfg.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer method.Close()
+	_, err = pic.New(cfg, method)
+	if err == nil {
+		t.Fatal("field method binned over twice the box was accepted")
+	}
+	for _, l := range []float64{spec.L, cfg.Length} {
+		if !strings.Contains(err.Error(), fmt.Sprint(l)) {
+			t.Errorf("error %q does not name box length %v", err, l)
+		}
 	}
 }

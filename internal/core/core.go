@@ -104,7 +104,13 @@ func NewNNSolver(net *nn.Network, spec phasespace.GridSpec, norm phasespace.Norm
 func (s *NNSolver) Name() string { return "dl-mlp" }
 
 // ComputeField implements pic.FieldMethod: bin, normalize, predict.
+//
+// The bundle's binning box must be the simulation's: positions of a
+// longer box would all clamp into the last histogram column.
 func (s *NNSolver) ComputeField(sim *pic.Simulation, e []float64) error {
+	if s.Spec.L != sim.Cfg.Length {
+		return fmt.Errorf("core: model binned over box length %v, simulation box is %v", s.Spec.L, sim.Cfg.Length)
+	}
 	if err := s.hist.Bin(sim.P.X, sim.P.V); err != nil {
 		return err
 	}

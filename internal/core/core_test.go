@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dlpic/internal/dataset"
@@ -380,5 +382,35 @@ func TestModelBundleFile(t *testing.T) {
 func TestLoadModelGarbage(t *testing.T) {
 	if _, err := LoadModel(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("garbage bundle should fail")
+	}
+}
+
+// A bundle trained on another box must be refused when it meets the
+// simulation, not bin every particle of the longer box into the last
+// histogram column.
+func TestNNSolverRejectsOtherBoxLength(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Cells = 16
+	cfg.ParticlesPerCell = 4
+	spec := phasespace.GridSpec{NX: 16, NV: 8, L: cfg.Length / 2, VMin: -0.8, VMax: 0.8, Binning: interp.NGP}
+	net, err := nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: 16, Hidden: 8, HiddenLayers: 1}, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := NewNNSolver(net, spec, phasespace.Normalizer{Min: 0, Max: 1}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pic.New(cfg, solver)
+	if err == nil {
+		t.Fatal("solver binned over half the box was accepted")
+	}
+	for _, l := range []float64{spec.L, cfg.Length} {
+		if !strings.Contains(err.Error(), fmt.Sprint(l)) {
+			t.Errorf("error %q does not name box length %v", err, l)
+		}
+	}
+	if solver.Predictions != 0 {
+		t.Errorf("solver predicted %d times before refusing", solver.Predictions)
 	}
 }

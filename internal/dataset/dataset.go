@@ -105,11 +105,12 @@ func (o GenerateOpts) Validate() error {
 // owns a full simulation plus histogram and writes a disjoint block of
 // sample rows, with its seed pre-derived from the root seed in run
 // order, so the corpus is byte-identical for every worker count.
-// Within each run the phase-space binning itself shards over particle
-// chunks (phasespace.Hist.Bin reduces through parallel.ScatterReduce
-// in chunk order), so a serial pool still engages every core — and
-// because the chunk decomposition depends only on the particle count,
-// corpora stay byte-identical at any Workers and GOMAXPROCS.
+// Within each run the phase-space binning itself spreads over the cores
+// when the pool is serial, and its result does not depend on how: NGP
+// bins are whole counts, which add exactly in any order
+// (parallel.ScatterCount), and CIC binning reduces fixed chunks in chunk
+// order (parallel.ScatterReduce) — so corpora stay byte-identical at any
+// Workers and GOMAXPROCS.
 func Generate(o GenerateOpts) (*Dataset, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err

@@ -108,6 +108,18 @@ func weights(s Scheme, g *grid.Grid, x float64, w *[3]float64) (left int, count 
 	}
 }
 
+// wrapNode maps a node index at most one period outside the grid back
+// into [0, n).
+func wrapNode(idx, n int) int {
+	if idx >= n {
+		return idx - n
+	}
+	if idx < 0 {
+		return idx + n
+	}
+	return idx
+}
+
 // Gather evaluates the grid field on each particle position:
 // out[p] = sum_i W(x_p - x_i) field[i]. Positions must lie in [0, L).
 // out and pos must have equal length; field must have length g.N().
@@ -118,25 +130,47 @@ func Gather(s Scheme, g *grid.Grid, field []float64, pos []float64, out []float6
 	if len(out) != len(pos) {
 		panic(fmt.Sprintf("interp: Gather out length %d, pos %d", len(out), len(pos)))
 	}
-	n := g.N()
 	parallel.For(len(pos), func(start, end int) {
-		var w [3]float64
-		for p := start; p < end; p++ {
-			left, cnt := weights(s, g, pos[p], &w)
-			var v float64
-			for k := 0; k < cnt; k++ {
-				idx := left + k
-				// wrap into [0, n)
-				if idx >= n {
-					idx -= n
-				} else if idx < 0 {
-					idx += n
-				}
-				v += w[k] * field[idx]
-			}
-			out[p] = v
+		if s == CIC {
+			gatherCIC(g, field, pos[start:end], out[start:end])
+		} else {
+			gatherGeneric(s, g, field, pos[start:end], out[start:end])
 		}
 	})
+}
+
+// gatherGeneric is the gather for any scheme, through weights(). NGP and
+// TSC run on it; for CIC it is the reference gatherCIC is tested against.
+func gatherGeneric(s Scheme, g *grid.Grid, field, pos, out []float64) {
+	n := g.N()
+	var w [3]float64
+	for p, x := range pos {
+		left, cnt := weights(s, g, x, &w)
+		var v float64
+		for k := 0; k < cnt; k++ {
+			v += w[k] * field[wrapNode(left+k, n)]
+		}
+		out[p] = v
+	}
+}
+
+// gatherCIC is gatherGeneric(CIC, ...) with the scheme switch, the weight
+// array and the support loop unrolled away. The operations and their
+// order are those of the generic path — including the leading 0 + of its
+// accumulator, which turns a -0 product into +0 — so the results are
+// bit-identical.
+func gatherCIC(g *grid.Grid, field, pos, out []float64) {
+	n := g.N()
+	dx := g.Dx()
+	for p, x := range pos {
+		h := x / dx
+		i := int(h)
+		frac := h - float64(i)
+		var v float64
+		v += (1 - frac) * field[wrapNode(i, n)]
+		v += frac * field[wrapNode(i+1, n)]
+		out[p] = v
+	}
 }
 
 // Deposit accumulates per-particle charge onto grid nodes and converts to
@@ -152,25 +186,43 @@ func Deposit(s Scheme, g *grid.Grid, pos []float64, charge float64, rho []float6
 	if len(rho) != g.N() {
 		panic(fmt.Sprintf("interp: Deposit rho length %d, grid %d", len(rho), g.N()))
 	}
-	n := g.N()
 	parallel.ScatterReduce(len(pos), rho, func(acc []float64, start, end int) {
-		var w [3]float64
-		for p := start; p < end; p++ {
-			left, cnt := weights(s, g, pos[p], &w)
-			for k := 0; k < cnt; k++ {
-				idx := left + k
-				if idx >= n {
-					idx -= n
-				} else if idx < 0 {
-					idx += n
-				}
-				acc[idx] += w[k]
-			}
+		if s == CIC {
+			depositCIC(g, pos[start:end], acc)
+		} else {
+			depositGeneric(s, g, pos[start:end], acc)
 		}
 	})
 	scale := charge / g.Dx()
 	for i := range rho {
 		rho[i] *= scale
+	}
+}
+
+// depositGeneric adds the unit-charge weights of pos into acc for any
+// scheme, through weights(); the counterpart of gatherGeneric.
+func depositGeneric(s Scheme, g *grid.Grid, pos, acc []float64) {
+	n := g.N()
+	var w [3]float64
+	for _, x := range pos {
+		left, cnt := weights(s, g, x, &w)
+		for k := 0; k < cnt; k++ {
+			acc[wrapNode(left+k, n)] += w[k]
+		}
+	}
+}
+
+// depositCIC is depositGeneric(CIC, ...) unrolled the way gatherCIC is:
+// the same two adds in the same order.
+func depositCIC(g *grid.Grid, pos, acc []float64) {
+	n := g.N()
+	dx := g.Dx()
+	for _, x := range pos {
+		h := x / dx
+		i := int(h)
+		frac := h - float64(i)
+		acc[wrapNode(i, n)] += 1 - frac
+		acc[wrapNode(i+1, n)] += frac
 	}
 }
 
@@ -191,13 +243,7 @@ func DepositWeighted(s Scheme, g *grid.Grid, pos, weight []float64, rho []float6
 			left, cnt := weights(s, g, pos[p], &w)
 			wp := weight[p]
 			for k := 0; k < cnt; k++ {
-				idx := left + k
-				if idx >= n {
-					idx -= n
-				} else if idx < 0 {
-					idx += n
-				}
-				acc[idx] += w[k] * wp
+				acc[wrapNode(left+k, n)] += w[k] * wp
 			}
 		}
 	})

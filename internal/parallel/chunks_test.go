@@ -195,3 +195,74 @@ func TestForPoolCoversAll(t *testing.T) {
 		}
 	}
 }
+
+// countFixture histograms i -> (i*i + 3*i) % width with ScatterCount and
+// returns the result next to a naive serial count.
+func countFixture(n, width int) (got, want []float64) {
+	slot := func(i int) int { return (i*i + 3*i) % width }
+	got = make([]float64, width)
+	for i := range got {
+		got[i] = -99 // must be overwritten, not accumulated into
+	}
+	ScatterCount(n, got, func(acc []float64, start, end int) {
+		for i := start; i < end; i++ {
+			acc[slot(i)]++
+		}
+	})
+	want = make([]float64, width)
+	for i := 0; i < n; i++ {
+		want[slot(i)]++
+	}
+	return got, want
+}
+
+func TestScatterCountEqualsNaiveCount(t *testing.T) {
+	check := func(label string, n, width int) {
+		t.Helper()
+		got, want := countFixture(n, width)
+		for i := range want {
+			if got[i] != want[i] {
+				// Errorf: the ForPool cases run off the test goroutine.
+				t.Errorf("%s n=%d width=%d: out[%d] = %v, naive %v", label, n, width, i, got[i], want[i])
+				return
+			}
+		}
+	}
+	sizes := []int{0, 1, chunkGrain - 1, chunkGrain + 1, 3*chunkGrain + 5, 200000}
+	for _, procs := range []int{1, 2, 3, 8} {
+		withGOMAXPROCS(t, procs, func() {
+			for _, n := range sizes {
+				check("GOMAXPROCS", n, 257)
+			}
+			// Inside a running pool the scatter is inline, straight into out.
+			ForPool(4, 2, func(int) {
+				for _, n := range sizes {
+					check("ForPool", n, 61)
+				}
+			})
+		})
+	}
+}
+
+func TestScatterCountZeroWidth(t *testing.T) {
+	withGOMAXPROCS(t, 4, func() {
+		var visited atomic.Int64
+		ScatterCount(5*chunkGrain, nil, func(acc []float64, start, end int) {
+			if len(acc) != 0 {
+				t.Errorf("acc length %d for width 0", len(acc))
+			}
+			visited.Add(int64(end - start))
+		})
+		if visited.Load() != 5*chunkGrain {
+			t.Fatalf("body covered %d elements, want %d", visited.Load(), 5*chunkGrain)
+		}
+	})
+}
+
+func TestScatterCountOverwritesOut(t *testing.T) {
+	out := []float64{42, -7}
+	ScatterCount(0, out, func(acc []float64, start, end int) { t.Fatal("body ran for n=0") })
+	if out[0] != 0 || out[1] != 0 {
+		t.Fatalf("out = %v after n=0, want zeros", out)
+	}
+}

@@ -12,6 +12,11 @@
 // kernels (deposit, kick, field reductions) are built on these, which
 // is what makes whole simulations reproducible across machines with
 // different core counts.
+//
+// ScatterCount is the one primitive that reaches the same guarantee
+// without a fixed decomposition: whole-number counts add exactly in
+// float64, so every split and every reduction order gives the same
+// bits. The NGP phase-space binning runs on it.
 package parallel
 
 import (
@@ -245,6 +250,71 @@ func ScatterReduce(n int, out []float64, body func(acc []float64, start, end int
 	for c := 0; c < k; c++ {
 		row := buf[c*width : (c+1)*width]
 		for i, v := range row {
+			out[i] += v
+		}
+	}
+	scratchPool.Put(p)
+}
+
+// ScatterCount is the scatter-add for contributions that are whole
+// counts (an NGP histogram: every element adds 1 to one slot). A float64
+// holds every integer up to 2^53 exactly and the sum of two such
+// integers is exact, so while the total count stays below 2^53 the
+// result does not depend on how [0, n) is split or in which order the
+// partial counts are added — the accumulator per chunk and the
+// chunk-order reduction ScatterReduce pays for buy nothing here.
+// ScatterCount keeps one accumulator per worker instead: the workers
+// pull chunks of [0, n) from a shared counter, worker 0 counts straight
+// into out and every further worker into one private buffer that is
+// added to out afterwards. When the loop runs inline — one processor, a
+// single chunk, or inside a ForPool — the whole range counts into out
+// and no buffer exists. out is overwritten. body must add only
+// non-negative whole numbers to acc for elements [start, end) and must
+// not retain acc.
+//
+// Fractional weights (CIC binning, the charge deposit) round differently
+// under different splits and must stay on ScatterReduce.
+func ScatterCount(n int, out []float64, body func(acc []float64, start, end int)) {
+	for i := range out {
+		out[i] = 0
+	}
+	if n <= 0 {
+		return
+	}
+	width := len(out)
+	k := NumChunks(n)
+	workers := maxWorkers()
+	if workers > k {
+		workers = k
+	}
+	if workers == 1 || width == 0 {
+		body(out, 0, n)
+		return
+	}
+	p := getScratch((workers - 1) * width)
+	buf := *p
+	// One pool task per accumulator; each drains the shared chunk counter.
+	// A goroutine that empties it before its peers start goes on to take
+	// their slots and finds nothing left, which is fine. (Not
+	// ForPoolWorkers: that marks a coarse pool active, which would make an
+	// unrelated ForPool starting during the scatter resolve to one worker.)
+	var next atomic.Int64
+	runPool(workers, workers, func(w int) {
+		acc := out
+		if w > 0 {
+			acc = buf[(w-1)*width : w*width]
+		}
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= k {
+				return
+			}
+			s, e := chunkBounds(n, k, c)
+			body(acc, s, e)
+		}
+	})
+	for w := 1; w < workers; w++ {
+		for i, v := range buf[(w-1)*width : w*width] {
 			out[i] += v
 		}
 	}

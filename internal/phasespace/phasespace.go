@@ -100,12 +100,15 @@ func (h *Hist) Reset() {
 // neighborhood of bin centers; position wraps periodically, velocity
 // clamps at the window.
 //
-// The scatter is sharded over particle chunks through
-// parallel.ScatterReduce, the same deterministic primitive the PIC
-// charge deposit uses: the chunk decomposition depends only on the
-// particle count and per-chunk partial histograms reduce in chunk
-// order, so the histogram is bit-identical at every GOMAXPROCS —
-// including inside a sweep pool, where the chunks run inline.
+// The histogram is bit-identical at every GOMAXPROCS, including inside
+// a sweep pool where the scatter runs inline, for a different reason
+// per scheme. NGP bins hold whole counts, which float64 adds exactly in
+// any order (up to 2^53 particles), so parallel.ScatterCount keeps one
+// partial histogram per worker and the serial case counts straight into
+// Data. CIC weights are fractional: they go through
+// parallel.ScatterReduce, the primitive the PIC charge deposit uses,
+// whose chunk decomposition depends only on the particle count and
+// whose per-chunk partial histograms reduce in chunk order.
 func (h *Hist) Bin(x, v []float64) error {
 	if len(x) != len(v) {
 		return fmt.Errorf("phasespace: x/v length mismatch %d vs %d", len(x), len(v))
@@ -116,7 +119,7 @@ func (h *Hist) Bin(x, v []float64) error {
 	dv := (spec.VMax - spec.VMin) / float64(nv)
 	switch spec.Binning {
 	case interp.NGP:
-		parallel.ScatterReduce(len(x), h.Data, func(acc []float64, start, end int) {
+		parallel.ScatterCount(len(x), h.Data, func(acc []float64, start, end int) {
 			for p := start; p < end; p++ {
 				ix := int(x[p] / dx)
 				if ix >= nx {

@@ -355,3 +355,60 @@ func TestBinBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// TestBinNGPEqualsNaiveOnEdges holds the worker-split NGP scatter to a
+// plain serial count on the inputs where an index can fall off the grid:
+// the box seams, velocities outside the window, and a population that
+// lands in a single bin (every worker increments the same slot).
+func TestBinNGPEqualsNaiveOnEdges(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	s := DefaultSpec(2 * math.Pi / 3.06)
+	dx := s.L / float64(s.NX)
+	dv := (s.VMax - s.VMin) / float64(s.NV)
+	clamp := func(i, n int) int {
+		if i < 0 {
+			return 0
+		}
+		if i >= n {
+			return n - 1
+		}
+		return i
+	}
+	edgeX := []float64{0, math.Nextafter(s.L, 0), dx, math.Nextafter(dx, 0), s.L / 2}
+	edgeV := []float64{s.VMin - 1, s.VMin, math.Nextafter(s.VMin, -1), s.VMax, math.Nextafter(s.VMax, 0), s.VMax + 1, 0}
+	const n = 5000 // several chunks, so GOMAXPROCS=4 really splits
+	populations := []struct {
+		name string
+		at   func(i int) (x, v float64)
+	}{
+		{"edges", func(i int) (float64, float64) { return edgeX[i%len(edgeX)], edgeV[i%len(edgeV)] }},
+		{"one bin", func(int) (float64, float64) { return 0.3 * dx, s.VMin + 0.3*dv }},
+	}
+	for _, pop := range populations {
+		x := make([]float64, n)
+		v := make([]float64, n)
+		want := make([]float64, s.Size())
+		for i := range x {
+			x[i], v[i] = pop.at(i)
+			ix := clamp(int(x[i]/dx), s.NX)
+			iv := clamp(int((v[i]-s.VMin)/dv), s.NV)
+			want[iv*s.NX+ix]++
+		}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			h, err := NewHist(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Bin(x, v); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if h.Data[i] != want[i] {
+					t.Fatalf("%s, GOMAXPROCS=%d: bin %d = %v, naive %v", pop.name, procs, i, h.Data[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -10,11 +10,11 @@ import (
 // sync.WaitGroup, channel creation/sends/receives/ranges and select —
 // everywhere in internal/ except the sanctioned packages below.
 // parallel's chunk-ordered primitives (ScatterReduce, OrderedFold,
-// ForChunks) are what make results bit-identical at any
-// GOMAXPROCS/worker count; batch's inference server is the one
-// sanctioned channel protocol; serve is the daemon control plane,
-// whose goroutines manage job lifecycles and never touch a physics
-// reduction; dist is the lease coordinator/worker protocol, whose
+// ForChunks) and its order-free scatter of exact counts (ScatterCount)
+// are what make results bit-identical at any GOMAXPROCS/worker count;
+// batch's inference server is the one sanctioned channel protocol;
+// serve is the daemon control plane, whose goroutines manage job
+// lifecycles and never touch a physics reduction; dist is the lease coordinator/worker protocol, whose
 // concurrency schedules cells across processes but never reorders a
 // result (the journal and input-order assembly pin that). A bare
 // goroutine anywhere else is a reduction whose order nobody pinned.
