@@ -33,6 +33,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"dlpic/internal/serve"
 )
@@ -69,7 +70,15 @@ func run(addr string, cfg serve.Config) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: d.Handler()}
+	// A socket may not dawdle over its headers or idle forever between
+	// requests. Deliberately no WriteTimeout (nor a whole-request
+	// ReadTimeout): SSE status streams and parked worker claims are
+	// long-lived responses by design.
+	srv := &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {

@@ -38,9 +38,9 @@ func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8350", "coordinator base URL (a dlpicd started with -coordinator)")
 	id := flag.String("id", "", "worker id (required; lands in lease ids and coordinator logs)")
 	methods := flag.String("methods", "traditional,oracle", "comma-separated method names this worker can execute (mlp/cnn need -cache-dir)")
-	poll := flag.Duration("poll", 200*time.Millisecond, "idle claim poll period")
+	poll := flag.Duration("poll", 200*time.Millisecond, "floor of the backoff between RPC retries, and the idle claim period against a coordinator that gives no retry hint (the coordinator holds idle claims itself)")
 	fault := flag.String("fault", "", "injected RPC fault plan, e.g. seed=7,drop=0.2,bundle.delay=1:2s (empty = none)")
-	once := flag.Bool("once", false, "exit when the coordinator reports all jobs done instead of polling for new ones")
+	once := flag.Bool("once", false, "exit when the coordinator reports all jobs done instead of waiting for new ones")
 	cacheDir := flag.String("cache-dir", "", "on-disk model-bundle cache directory (required for DL methods)")
 	cacheMax := flag.Int("cache-max", dist.DefaultCacheEntries, "bundle cache capacity (LRU entries)")
 	claimBatch := flag.Int("claim-batch", 1, "cells to request per claim round-trip (the coordinator may grant fewer)")

@@ -346,7 +346,14 @@ func runCoordinated(addr, journalPath, bundleDir string, spec campaign.Spec,
 	if err != nil {
 		return nil, fmt.Errorf("coordinator listen: %w", err)
 	}
-	srv := &http.Server{Handler: mux}
+	// Bounded header reads and idle sockets; deliberately no
+	// WriteTimeout: a parked worker claim is a long-lived response by
+	// design.
+	srv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go srv.Serve(ln)
 	defer srv.Close()
 	fmt.Printf("coordinator listening on %s\n", ln.Addr())

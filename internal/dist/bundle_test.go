@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,7 +205,8 @@ func TestBundleEndpointAndFaultPlan(t *testing.T) {
 	data := []byte("weights weights weights")
 	_, ref := writeBundle(t, bundleDir, "mlp", "mlp-00aa11bb22cc33dd", data)
 
-	hub := NewHub(Options{BundleDir: bundleDir})
+	// No job ever runs here: the claim below is held for ClaimRetry.
+	hub := NewHub(Options{BundleDir: bundleDir, ClaimRetry: time.Millisecond})
 	mux := http.NewServeMux()
 	hub.Register(mux)
 	srv := httptest.NewServer(mux)
@@ -366,4 +368,161 @@ func TestEndToEndBundleBackedDigest(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// memoRig is a worker wired to a bundle-serving hub, with every way a
+// resolve can be observed counted: downloads at the hub, constructor
+// calls, and the bytes each constructed spec was built from (carried in
+// the spec's name).
+type memoRig struct {
+	worker    *Worker
+	cache     *BundleCache
+	bundleDir string
+	downloads atomic.Int64
+	built     int
+	failBuild bool
+	log       strings.Builder
+}
+
+func newMemoRig(t *testing.T) *memoRig {
+	t.Helper()
+	rig := &memoRig{bundleDir: t.TempDir()}
+	hub := NewHub(Options{BundleDir: rig.bundleDir})
+	mux := http.NewServeMux()
+	hub.Register(mux)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/bundles/") {
+			rig.downloads.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	var err error
+	if rig.cache, err = NewBundleCache(t.TempDir(), 4); err != nil {
+		t.Fatal(err)
+	}
+	rig.worker, err = NewWorker(WorkerOptions{
+		ID: "w", Client: NewClient(srv.URL, nil), Cache: rig.cache,
+		BundleMethods: []string{"mlp"}, Poll: time.Millisecond, Log: &rig.log,
+		BundleMethod: func(method, path string) (sweep.MethodSpec, error) {
+			rig.built++
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return sweep.MethodSpec{}, err
+			}
+			if rig.failBuild {
+				return sweep.MethodSpec{}, fmt.Errorf("corrupt bundle %q", data)
+			}
+			return sweep.MethodSpec{Name: method + "=" + string(data)}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rig
+}
+
+// resolve runs the worker's method resolution for a grant carrying refs.
+func (rig *memoRig) resolve(refs ...BundleRef) (string, error) {
+	spec, err := rig.worker.methodFor(CellGrant{Method: "mlp", Bundles: refs})
+	return spec.Name, err
+}
+
+// expect checks one resolve's outcome and the running counters.
+func (rig *memoRig) expect(t *testing.T, what, gotSpec string, err error, wantSpec string, downloads, built int) {
+	t.Helper()
+	if err != nil || gotSpec != wantSpec {
+		t.Fatalf("%s: resolved (%q, %v), want %q", what, gotSpec, err, wantSpec)
+	}
+	if got := int(rig.downloads.Load()); got != downloads || rig.built != built {
+		t.Fatalf("%s: %d downloads and %d constructions so far, want %d and %d", what, got, rig.built, downloads, built)
+	}
+}
+
+// TestResolveMemoKeyedByDigest: identical refs resolve once — one
+// download, one read of the disk cache, one construction — and what
+// they resolved to no longer depends on the cached file; any change of
+// digest or fingerprint goes back through the verifying cache path.
+func TestResolveMemoKeyedByDigest(t *testing.T) {
+	rig := newMemoRig(t)
+	_, v1 := writeBundle(t, rig.bundleDir, "mlp", "mlp-00000000000000aa", []byte("weights v1"))
+
+	spec, err := rig.resolve(v1)
+	rig.expect(t, "first grant", spec, err, "mlp=weights v1", 1, 1)
+	spec, err = rig.resolve(v1)
+	rig.expect(t, "same refs again", spec, err, "mlp=weights v1", 1, 1)
+	if hits := strings.Count(rig.log.String(), "bundle "+v1.Fingerprint+": cache hit"); hits != 1 {
+		t.Fatalf("memo hit logged %d cache-hit lines, want 1:\n%s", hits, rig.log.String())
+	}
+
+	// Rot, then delete, the cached file: cells of the same digest keep
+	// running the model that was verified, and nothing is fetched.
+	cached := rig.cache.path(v1.Fingerprint)
+	if err := os.WriteFile(cached, []byte("bitrot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err = rig.resolve(v1)
+	rig.expect(t, "cached file corrupted", spec, err, "mlp=weights v1", 1, 1)
+	if err := os.Remove(cached); err != nil {
+		t.Fatal(err)
+	}
+	spec, err = rig.resolve(v1)
+	rig.expect(t, "cached file deleted", spec, err, "mlp=weights v1", 1, 1)
+
+	// Same fingerprint, new bytes: a new digest is a new model.
+	_, v2 := writeBundle(t, rig.bundleDir, "mlp", v1.Fingerprint, []byte("weights v2"))
+	spec, err = rig.resolve(v2)
+	rig.expect(t, "digest changed", spec, err, "mlp=weights v2", 2, 2)
+	// The memo keeps one entry per method: the old digest resolves afresh
+	// and is verified again — the cached v2 bytes do not pass for v1.
+	spec, err = rig.resolve(v1)
+	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("stale digest resolved (%q, %v), want a digest mismatch: the hub now serves v2", spec, err)
+	}
+	// New fingerprint, same bytes as v2: still not the remembered refs.
+	_, v3 := writeBundle(t, rig.bundleDir, "mlp", "mlp-00000000000000bb", []byte("weights v2"))
+	downloads, built := int(rig.downloads.Load()), rig.built
+	spec, err = rig.resolve(v3)
+	rig.expect(t, "fingerprint changed", spec, err, "mlp=weights v2", downloads+1, built+1)
+	// The informational size is not part of a bundle's identity.
+	resized := v3
+	resized.Size++
+	spec, err = rig.resolve(resized)
+	rig.expect(t, "size differs only", spec, err, "mlp=weights v2", downloads+1, built+1)
+}
+
+// TestResolveMemoForgetsFailures: a resolve that failed — the bundle
+// would not construct, the download did not hash to the grant's digest —
+// leaves nothing behind, so the next grant goes through the whole
+// verifying path again.
+func TestResolveMemoForgetsFailures(t *testing.T) {
+	rig := newMemoRig(t)
+	_, good := writeBundle(t, rig.bundleDir, "mlp", "mlp-00000000000000cc", []byte("weights"))
+
+	rig.failBuild = true
+	if spec, err := rig.resolve(good); err == nil {
+		t.Fatalf("corrupt bundle resolved to %q", spec)
+	}
+	rig.failBuild = false
+	spec, err := rig.resolve(good)
+	rig.expect(t, "retry after a failed construction", spec, err, "mlp=weights", 1, 2)
+
+	// A grant whose digest no download can satisfy fails (transiently)
+	// after its in-cell retries and does not displace or poison the
+	// entry: the good refs still hit, the bad ones still fail.
+	bad := good
+	bad.Digest = strings.Repeat("0", len(good.Digest))
+	if spec, err := rig.resolve(bad); err == nil || !campaign.Transient(err) {
+		t.Fatalf("unsatisfiable digest resolved (%q, %v), want a transient failure", spec, err)
+	}
+	downloads := int(rig.downloads.Load())
+	if spec, err := rig.resolve(bad); err == nil {
+		t.Fatalf("unsatisfiable digest resolved to %q on the second try", spec)
+	}
+	if got := int(rig.downloads.Load()); got == downloads {
+		t.Fatal("the failed resolve was remembered: its retry fetched nothing")
+	}
+	downloads, built := int(rig.downloads.Load()), rig.built
+	spec, err = rig.resolve(good)
+	rig.expect(t, "good refs after a failed grant", spec, err, "mlp=weights", downloads, built)
 }

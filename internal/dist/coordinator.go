@@ -60,6 +60,10 @@ type Coordinator struct {
 
 	journal *campaign.Journal
 	leases  *leaseLog
+	// wake tells whoever parks claims on this coordinator (the Hub) that
+	// a cell just became claimable again; a no-op for a coordinator
+	// driven directly. Called with mu held.
+	wake func()
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -105,6 +109,7 @@ func NewCoordinator(job, journalPath string, spec campaign.Spec, opts Options, b
 		spec:        spec,
 		bundles:     make(map[string][]BundleRef),
 		journal:     journal,
+		wake:        func() {},
 		byLease:     make(map[string]*cellState),
 		claimers:    make(map[string]bool),
 		maxAttempts: spec.Retry.Attempts(),
@@ -185,6 +190,7 @@ func (c *Coordinator) expireStaleLocked(now time.Time) {
 		delete(c.byLease, id)
 		cs.lease, cs.worker = "", ""
 		c.cond.Broadcast()
+		c.wake()
 	}
 }
 
@@ -386,6 +392,7 @@ func (c *Coordinator) Complete(lease string, rec campaign.Record, transient bool
 		cs.notBefore = now.Add(c.spec.Retry.Delay(cs.cell.Key, cs.attempts))
 		fmt.Fprintf(c.opts.Log, "[dist] job %s: cell %d transient failure (attempt %d/%d), re-leasable\n",
 			c.job, cs.cell.Index, cs.attempts, c.maxAttempts)
+		c.wake()
 	}
 	c.cond.Broadcast()
 	return nil

@@ -55,8 +55,9 @@ import (
 // tolerates two lost heartbeats before reassignment.
 const DefaultLeaseTTL = 10 * time.Second
 
-// DefaultClaimRetry is the idle-poll hint returned to workers when no
-// cell is currently claimable.
+// DefaultClaimRetry is how long the hub holds a claim that finds no
+// claimable cell before answering "idle"/"done", and the retry hint
+// that answer carries.
 const DefaultClaimRetry = 200 * time.Millisecond
 
 // Options configures coordinators (and the Hub that routes RPCs to
@@ -66,8 +67,11 @@ type Options struct {
 	// without another heartbeat (<= 0 selects DefaultLeaseTTL). It
 	// bounds how long a dead worker can hold a cell hostage.
 	LeaseTTL time.Duration
-	// ClaimRetry is the retry-after hint handed to idle workers (<= 0
-	// selects DefaultClaimRetry).
+	// ClaimRetry bounds how long the hub holds a fruitless claim waiting
+	// for a cell to become claimable, and is the retry-after hint of the
+	// "idle"/"done" it then answers (<= 0 selects DefaultClaimRetry). It
+	// is also the period at which a running coordinator sweeps for
+	// expired leases when no RPC arrives to notice them.
 	ClaimRetry time.Duration
 	// Clock supplies the coordinator's notion of now, for lease expiry
 	// only — wall-clock never reaches journal records or digests. Nil
@@ -92,15 +96,19 @@ func (o Options) withDefaults() Options {
 		o.ClaimRetry = DefaultClaimRetry
 	}
 	if o.Clock == nil {
-		o.Clock = func() time.Time {
-			//determlint:ignore nondet lease expiry is liveness, not physics: wall-clock never reaches journal records or digests
-			return time.Now()
-		}
+		o.Clock = wallClock
 	}
 	if o.Log == nil {
 		o.Log = io.Discard
 	}
 	return o
+}
+
+// wallClock is the package's one wall-clock read: the default lease
+// clock and the worker's claim pacing.
+func wallClock() time.Time {
+	//determlint:ignore nondet lease expiry and claim pacing are liveness, not physics: wall-clock never reaches journal records or digests
+	return time.Now()
 }
 
 // preemptionError is a scheduling-level rejection: the work was taken

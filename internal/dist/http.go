@@ -22,16 +22,46 @@ import (
 // duration of its campaign. Workers are job-agnostic: a claim scans
 // the live jobs (in job-id order, for determinism) and the response
 // tells the worker which job its lease belongs to.
+//
+// A claim that finds nothing grantable is held, not answered: the
+// handler parks on the hub's one wake signal and rescans when a job is
+// registered or removed, a lease expires, or a transient failure
+// returns a cell to the pool. Only after Options.ClaimRetry without a
+// grant does it answer "idle" or "done", so a worker's next cell costs
+// it a wake-up, not a poll period.
 type Hub struct {
 	opts Options
 
 	mu       sync.Mutex
 	sessions map[string]*Coordinator
+	// wake is closed and replaced by every poke; a parked claim waits on
+	// the channel it read before scanning, so a poke that lands during
+	// its scan is not lost.
+	wake chan struct{}
 }
 
 // NewHub returns a hub whose coordinators run with opts.
 func NewHub(opts Options) *Hub {
-	return &Hub{opts: opts.withDefaults(), sessions: make(map[string]*Coordinator)}
+	return &Hub{
+		opts:     opts.withDefaults(),
+		sessions: make(map[string]*Coordinator),
+		wake:     make(chan struct{}),
+	}
+}
+
+// poke wakes every parked claim to rescan. Coordinators call it with
+// their own lock held; the hub never calls into a coordinator under
+// h.mu, so the order coordinator -> hub cannot invert.
+func (h *Hub) poke() {
+	h.mu.Lock()
+	h.pokeLocked()
+	h.mu.Unlock()
+}
+
+// pokeLocked is poke for callers that hold h.mu.
+func (h *Hub) pokeLocked() {
+	close(h.wake)
+	h.wake = make(chan struct{})
 }
 
 // Run executes one distributed campaign: it creates the job's
@@ -50,12 +80,15 @@ func (h *Hub) Run(job, journalPath string, spec campaign.Spec, bundles ...Bundle
 	if err != nil {
 		return nil, err
 	}
+	c.wake = h.poke
 	h.mu.Lock()
 	h.sessions[job] = c
+	h.pokeLocked()
 	h.mu.Unlock()
 	defer func() {
 		h.mu.Lock()
 		delete(h.sessions, job)
+		h.pokeLocked()
 		h.mu.Unlock()
 	}()
 	return c.Run()
@@ -68,8 +101,10 @@ func (h *Hub) coordinator(job string) *Coordinator {
 	return h.sessions[job]
 }
 
-// jobs returns the live job ids in sorted order.
-func (h *Hub) jobs() []string {
+// live returns the live coordinators in job-id order together with the
+// wake channel current at that instant: whatever changes after the
+// snapshot closes the returned channel.
+func (h *Hub) live() ([]*Coordinator, <-chan struct{}) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ids := make([]string, 0, len(h.sessions))
@@ -77,7 +112,11 @@ func (h *Hub) jobs() []string {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	return ids
+	live := make([]*Coordinator, len(ids))
+	for i, id := range ids {
+		live[i] = h.sessions[id]
+	}
+	return live, h.wake
 }
 
 // Wire types. Scenarios cross the wire as their full JSON form —
@@ -125,14 +164,17 @@ type CellGrant struct {
 	Bundles []BundleRef `json:"bundles,omitempty"`
 }
 
-// ClaimResponse is the hub's answer: cells to run, or a hint to poll
+// ClaimResponse is the hub's answer: cells to run, or a hint to claim
 // again, or the news that all known jobs are done.
 type ClaimResponse struct {
-	// Status is "cell" (run the enclosed cells), "idle" (nothing
-	// claimable now, retry after RetryMS) or "done" (every live job's
-	// cells are settled; also returned when no job is live).
+	// Status is "cell" (run the enclosed cells), "idle" (nothing became
+	// claimable while the hub held the claim) or "done" (every live
+	// job's cells are settled; also returned when no job is live).
 	Status string `json:"status"`
-	// RetryMS paces the next claim after "idle"/"done".
+	// RetryMS is the period the next claim after "idle"/"done" should
+	// keep, measured from when the answered claim was sent: the hub has
+	// already held the claim that long, so a worker that subtracts the
+	// call's duration claims again at once.
 	RetryMS int64 `json:"retry_ms,omitempty"`
 	// Job identifies the granting job ("cell" only); every cell of one
 	// response belongs to it.
@@ -176,6 +218,7 @@ type CompleteRequest struct {
 //	POST /dist/complete       CompleteRequest -> 204 | 410
 //	GET  /bundles/{fingerprint}  model bundle bytes | 404
 //
+// Request bodies are bounded (413 beyond maxClaimBody / maxCompleteBody).
 // 410 Gone is the wire form of ErrLeaseExpired/ErrUnknownJob: the
 // lease (or its whole job) is no longer current and the worker must
 // discard the cell without retrying. The bundle endpoint serves the
@@ -189,31 +232,98 @@ func (h *Hub) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /bundles/{fingerprint}", h.handleBundle)
 }
 
-// handleClaim scans live jobs in id order for claimable cells; all
-// cells of one response come from one job.
+// Request body bounds. Claims and heartbeats are a worker id plus a
+// few names or lease ids; a completion carries one cell's record
+// (tens of KB with a kept final state) and gets the limit Client.do
+// applies to responses.
+const (
+	maxClaimBody    = 1 << 20
+	maxCompleteBody = 64 << 20
+)
+
+// decodeBody reads at most limit bytes of r's body and unmarshals them
+// into v, answering 413 or 400 itself when it cannot; what names the
+// RPC in the error text. A declared length over the limit is refused
+// unread. Reading to EOF (rather than streaming a decoder) is also what
+// lets net/http notice a client that goes away while its claim is
+// parked.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	if r.ContentLength > limit {
+		http.Error(w, fmt.Sprintf("dist: %s request of %d bytes exceeds the %d-byte bound", what, r.ContentLength, limit),
+			http.StatusRequestEntityTooLarge)
+		return false
+	}
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = json.Unmarshal(data, v)
+	}
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "dist: bad "+what+" request: "+err.Error(), code)
+	return false
+}
+
+// handleClaim grants the claimant cells, holding the request for up to
+// Options.ClaimRetry while there are none: it rescans on every hub wake
+// and answers "idle"/"done" — whatever its last scan found — only when
+// the hold runs out. A claimant whose request context ends while parked
+// is dropped before the next scan; a lease granted to a dead connection
+// would be lost for a full LeaseTTL.
 func (h *Hub) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var req ClaimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "dist: bad claim request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxClaimBody, "claim", &req) {
 		return
 	}
 	if req.Worker == "" {
 		http.Error(w, "dist: claim needs a worker id", http.StatusBadRequest)
 		return
 	}
-	allDone := true
-	for _, job := range h.jobs() {
-		c := h.coordinator(job)
-		if c == nil {
-			continue
+	ctx := r.Context()
+	hold := time.NewTimer(h.opts.ClaimRetry)
+	defer hold.Stop()
+	for {
+		jobs, wake := h.live()
+		if ctx.Err() != nil {
+			return
 		}
-		grants, done, err := c.ClaimBatch(req.Worker, req.Methods, req.Max)
+		resp, err := h.claim(jobs, req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		if resp.Status == "cell" {
+			writeJSON(w, resp)
+			return
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return
+		case <-hold.C:
+			writeJSON(w, resp)
+			return
+		}
+	}
+}
+
+// claim scans jobs in order for cells req's worker can run; all cells
+// of one response come from one job. With nothing to grant the response
+// is "done" when every scanned job is settled (or none is live) and
+// "idle" otherwise.
+func (h *Hub) claim(jobs []*Coordinator, req ClaimRequest) (ClaimResponse, error) {
+	allDone := true
+	for _, c := range jobs {
+		grants, done, err := c.ClaimBatch(req.Worker, req.Methods, req.Max)
+		if err != nil {
+			return ClaimResponse{}, err
+		}
 		if len(grants) > 0 {
-			resp := ClaimResponse{Status: "cell", Job: job}
+			resp := ClaimResponse{Status: "cell", Job: c.job}
 			for _, g := range grants {
 				resp.Cells = append(resp.Cells, CellGrant{
 					Lease: g.Lease, TTLMS: g.TTL.Milliseconds(),
@@ -223,8 +333,7 @@ func (h *Hub) handleClaim(w http.ResponseWriter, r *http.Request) {
 					Bundles: g.Bundles,
 				})
 			}
-			writeJSON(w, resp)
-			return
+			return resp, nil
 		}
 		if !done {
 			allDone = false
@@ -234,15 +343,14 @@ func (h *Hub) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if allDone {
 		status = "done"
 	}
-	writeJSON(w, ClaimResponse{Status: status, RetryMS: h.opts.ClaimRetry.Milliseconds()})
+	return ClaimResponse{Status: status, RetryMS: h.opts.ClaimRetry.Milliseconds()}, nil
 }
 
 // handleHeartbeat extends the request's leases; only an all-gone batch
 // is 410.
 func (h *Hub) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "dist: bad heartbeat request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxClaimBody, "heartbeat", &req) {
 		return
 	}
 	c := h.coordinator(req.Job)
@@ -289,8 +397,7 @@ func (h *Hub) handleBundle(w http.ResponseWriter, r *http.Request) {
 // handleComplete journals one finished cell.
 func (h *Hub) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "dist: bad complete request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxCompleteBody, "complete", &req) {
 		return
 	}
 	c := h.coordinator(req.Job)

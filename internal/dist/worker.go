@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"dlpic/internal/campaign"
@@ -41,16 +42,19 @@ type WorkerOptions struct {
 	// sequentially with per-cell completion; all still-pending leases
 	// of the batch are extended by a single heartbeat RPC per tick.
 	ClaimBatch int
-	// Poll paces claim retries when the coordinator reports idle and
-	// gives no hint (<= 0 selects DefaultClaimRetry).
+	// Poll is the claim period when the coordinator reports idle and
+	// gives no hint, and the floor of RPC-error backoff (<= 0 selects
+	// DefaultClaimRetry). A hub that holds fruitless claims has already
+	// spent the period by the time it answers, so against one Poll only
+	// paces error retries.
 	Poll time.Duration
 	// Retry paces RPC retries (claims through a restarting
 	// coordinator, completes through injected faults) with the same
 	// deterministic seeded-jitter schedule campaigns use for cells.
 	Retry campaign.RetryPolicy
 	// ExitWhenDone stops Run when the coordinator reports every job
-	// done, instead of polling for future jobs. Tests and one-shot
-	// workers set it; service workers poll forever.
+	// done, instead of claiming on for future jobs. Tests and one-shot
+	// workers set it; service workers claim forever.
 	ExitWhenDone bool
 	// Log receives worker progress lines (nil = discard).
 	Log io.Writer
@@ -65,6 +69,26 @@ type Worker struct {
 	opts        WorkerOptions
 	methods     map[string]sweep.MethodSpec
 	bundleNames map[string]bool
+	// resolved holds, per bundle-backed method name, the last grant refs
+	// that resolved and the spec built from their verified bytes. Only
+	// the goroutine executing a cell touches it, and cells execute one at
+	// a time.
+	resolved map[string]resolvedMethod
+}
+
+// resolvedMethod is one method's memoised bundle resolution.
+type resolvedMethod struct {
+	refs []BundleRef
+	spec sweep.MethodSpec
+}
+
+// sameBundles reports whether two grants name the same bundle bytes:
+// the same (Method, Fingerprint, Digest) refs in the same order. Size
+// is informational and not compared.
+func sameBundles(a, b []BundleRef) bool {
+	return slices.EqualFunc(a, b, func(x, y BundleRef) bool {
+		return x.Method == y.Method && x.Fingerprint == y.Fingerprint && x.Digest == y.Digest
+	})
 }
 
 // NewWorker builds a worker. The methods registry is resolved like a
@@ -98,6 +122,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		opts:        opts,
 		methods:     make(map[string]sweep.MethodSpec, len(methods)),
 		bundleNames: make(map[string]bool, len(opts.BundleMethods)),
+		resolved:    make(map[string]resolvedMethod, len(opts.BundleMethods)),
 	}
 	for _, m := range methods {
 		w.methods[m.Name] = m
@@ -140,6 +165,7 @@ func (w *Worker) Run(stop func() bool) error {
 	names := w.methodNames()
 	claimFails := 0
 	for !stop() {
+		sent := wallClock()
 		resp, err := w.opts.Client.Claim(w.opts.ID, names, w.opts.ClaimBatch)
 		if err != nil {
 			// A dead or restarting coordinator looks like transient
@@ -157,22 +183,27 @@ func (w *Worker) Run(stop func() bool) error {
 			if w.opts.ExitWhenDone {
 				return nil
 			}
-			w.idle(resp)
+			w.idle(resp, sent)
 		default: // "idle"
-			w.idle(resp)
+			w.idle(resp, sent)
 		}
 	}
 	return nil
 }
 
-// idle sleeps the coordinator's retry hint (or the worker's own poll
-// period) before the next claim.
-func (w *Worker) idle(resp ClaimResponse) {
+// idle sleeps out what is left of the claim period — the coordinator's
+// retry hint, or the worker's own poll period — counted from when the
+// fruitless claim was sent. A hub that held the claim for the whole
+// period leaves nothing to sleep; one that answered at once leaves all
+// of it.
+func (w *Worker) idle(resp ClaimResponse, sent time.Time) {
 	d := time.Duration(resp.RetryMS) * time.Millisecond
 	if d <= 0 {
 		d = w.opts.Poll
 	}
-	time.Sleep(d)
+	if d -= wallClock().Sub(sent); d > 0 {
+		time.Sleep(d)
+	}
 }
 
 // sleepRetry backs off an RPC retry on the policy's deterministic
@@ -323,9 +354,15 @@ func (w *Worker) executeCell(g CellGrant) sweep.Result {
 }
 
 // methodFor resolves one grant's method. Bundle-bearing grants go
-// through the cache (one download per worker, cache hits after);
-// everything else through the local registry. A bundle-backed name
-// arriving without refs is a protocol bug and fails permanently —
+// through the cache (one download per worker) and the BundleMethod
+// constructor once per distinct set of refs: the spec is kept per
+// method name, and a later grant naming the same (Method, Fingerprint,
+// Digest) refs reuses it — it was built from bytes that hashed to
+// exactly those digests, so a cell still only ever runs a model whose
+// bytes matched its grant. Any other refs, and any failure, go back
+// through the verifying path; failures are never remembered.
+// Everything else resolves through the local registry. A bundle-backed
+// name arriving without refs is a protocol bug and fails permanently —
 // executing it from the local registry would silently run the wrong
 // physics.
 func (w *Worker) methodFor(g CellGrant) (sweep.MethodSpec, error) {
@@ -347,6 +384,12 @@ func (w *Worker) methodFor(g CellGrant) (sweep.MethodSpec, error) {
 		return sweep.MethodSpec{}, fmt.Errorf(
 			"dist: grant for method %q needs bundles but this worker has no cache (-cache-dir)", g.Method)
 	}
+	if last, ok := w.resolved[g.Method]; ok && sameBundles(last.refs, g.Bundles) {
+		for _, ref := range g.Bundles {
+			fmt.Fprintf(w.opts.Log, "[worker %s] bundle %s: cache hit\n", w.opts.ID, ref.Fingerprint)
+		}
+		return last.spec, nil
+	}
 	var path string
 	for _, ref := range g.Bundles {
 		p, err := w.fetchBundle(ref)
@@ -357,7 +400,12 @@ func (w *Worker) methodFor(g CellGrant) (sweep.MethodSpec, error) {
 			path = p
 		}
 	}
-	return w.opts.BundleMethod(g.Method, path)
+	spec, err := w.opts.BundleMethod(g.Method, path)
+	if err != nil {
+		return sweep.MethodSpec{}, err
+	}
+	w.resolved[g.Method] = resolvedMethod{refs: slices.Clone(g.Bundles), spec: spec}
+	return spec, nil
 }
 
 // maxBundleFetches bounds in-cell retries of a transiently failing

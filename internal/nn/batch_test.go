@@ -1,7 +1,11 @@
 package nn
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"dlpic/internal/rng"
@@ -109,44 +113,119 @@ func TestPredictBatchShapePanics(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence verifies Clone copies weights bit-exactly and
-// decouples scratch: predictions agree, and mutating the clone's
-// weights does not leak into the original.
-func TestCloneIndependence(t *testing.T) {
+// copiesOf returns the two copies a network can have — Clone's
+// structural one and Save→Load's serialized one — which must be
+// indistinguishable from each other and from the source.
+func copiesOf(t *testing.T, net *Network) map[string]*Network {
+	t.Helper()
+	clone, err := Clone(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(netBytes(t, net)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Network{"clone": clone, "save-load": loaded}
+}
+
+// weightsOf snapshots every parameter value of a network.
+func weightsOf(net *Network) [][]float64 {
+	var out [][]float64
+	for _, p := range net.Params() {
+		out = append(out, append([]float64(nil), p.W.Data...))
+	}
+	return out
+}
+
+// TestCopiesBitIdenticalAndDeep: for every architecture family, Clone
+// and Save→Load both give bitwise-equal parameters and predictions, on
+// freshly allocated tensors — mutating or training the copy never moves
+// the source — and saving a copy writes the bytes saving the source
+// writes.
+func TestCopiesBitIdenticalAndDeep(t *testing.T) {
 	for name, net := range buildArchs(t) {
 		t.Run(name, func(t *testing.T) {
-			clone, err := Clone(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := make([]float64, net.InDim)
 			r := rng.New(5)
+			in := make([]float64, net.InDim)
 			for i := range in {
 				in[i] = r.NormFloat64()
 			}
-			a := make([]float64, net.OutDim())
-			b := make([]float64, net.OutDim())
-			net.Predict1(in, a)
-			clone.Predict1(in, b)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("clone diverges at %d: %v vs %v", i, a[i], b[i])
+			want := make([]float64, net.OutDim())
+			net.Predict1(in, want)
+			saved, before := netBytes(t, net), weightsOf(net)
+			for kind, cp := range copiesOf(t, net) {
+				// Equal values here, equal bits (signed zeros included) by
+				// the saved-bytes comparison below.
+				if !reflect.DeepEqual(weightsOf(cp), before) {
+					t.Fatalf("%s: parameters differ from the source's", kind)
 				}
-			}
-			clone.Params()[0].W.Data[0] += 1
-			clone.Predict1(in, b)
-			net.Predict1(in, a)
-			same := true
-			for i := range a {
-				if a[i] != b[i] {
-					same = false
-					break
+				for i, p := range cp.Params() {
+					if &p.W.Data[0] == &net.Params()[i].W.Data[0] {
+						t.Fatalf("%s: param %d shares the source's storage", kind, i)
+					}
 				}
-			}
-			if same {
-				t.Fatalf("mutating the clone did not change its output relative to the original")
+				got := make([]float64, cp.OutDim())
+				cp.Predict1(in, got)
+				for i := range want {
+					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+						t.Fatalf("%s: prediction diverges at %d: %v vs %v", kind, i, got[i], want[i])
+					}
+				}
+				if !bytes.Equal(saved, netBytes(t, cp)) {
+					t.Fatalf("%s: saving the copy wrote different bytes than saving the source", kind)
+				}
+
+				// Train the copy, then bump every weight of it: the source
+				// must not notice either.
+				x, y := randBatch(r, 8, cp.InDim), randBatch(r, 8, cp.OutDim())
+				if _, err := Fit(cp, x, y, nil, nil, TrainConfig{
+					Epochs: 2, BatchSize: 4, Optimizer: &SGD{LR: 0.05}, Loss: MSE{}, Seed: 3,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range cp.Params() {
+					for j := range p.W.Data {
+						p.W.Data[j] += 1
+					}
+				}
+				if !reflect.DeepEqual(weightsOf(net), before) {
+					t.Fatalf("%s: training or mutating the copy moved the source's weights", kind)
+				}
+				net.Predict1(in, got)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: the source predicts differently after its copy changed", kind)
+				}
+				cp.Predict1(in, got)
+				if reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: changing every weight of the copy did not change its output", kind)
+				}
 			}
 		})
+	}
+}
+
+// TestSavedBytesPinned pins the model file format across commits: the
+// smokes byte-diff .dlpic bundles, so a loader or layer-constructor
+// change must not move one saved byte. Weights are set to exact dyadic
+// values so the pin does not depend on the platform's float contraction.
+func TestSavedBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"mlp":    "f361a7667889fecf8997de53d6734cd81138cf73d049320bd6b71ad5951f50be",
+		"cnn":    "b932dd574903cab1f2d289dfd95441253cf6d6a553169b874b62d1f73a18af10",
+		"resmlp": "9a0e352395ffd7383f589b8bad4fea4b7cbd0612148a88674cf5293d4454aacb",
+	}
+	for name, net := range buildArchs(t) {
+		k := 0
+		for _, p := range net.Params() {
+			for j := range p.W.Data {
+				p.W.Data[j] = float64(k%17-8) / 16
+				k++
+			}
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(netBytes(t, net))); got != want[name] {
+			t.Errorf("%s: saved bytes hash %s, pinned %s", name, got, want[name])
+		}
 	}
 }
 

@@ -32,22 +32,27 @@ type Conv2D struct {
 // NewConv2D constructs a same-padded stride-1 convolution with
 // He-uniform initialization. K must be odd.
 func NewConv2D(inC, h, w, outC, k int, r *rng.Source) *Conv2D {
+	c := newConv2D(inC, h, w, outC, k)
+	fanIn := float64(inC * k * k)
+	c.Wt.RandomUniform(r, math.Sqrt(6.0/fanIn))
+	return c
+}
+
+// newConv2D is NewConv2D with an all-zero kernel bank (see newDense).
+func newConv2D(inC, h, w, outC, k int) *Conv2D {
 	if inC <= 0 || h <= 0 || w <= 0 || outC <= 0 {
 		panic(fmt.Sprintf("nn: invalid conv dims inC=%d h=%d w=%d outC=%d", inC, h, w, outC))
 	}
 	if k <= 0 || k%2 == 0 {
 		panic(fmt.Sprintf("nn: conv kernel size %d must be positive odd", k))
 	}
-	c := &Conv2D{
+	return &Conv2D{
 		InC: inC, H: h, W: w, OutC: outC, K: k,
 		Wt: tensor.New(outC, inC*k*k),
 		B:  tensor.New(1, outC),
 		dW: tensor.New(outC, inC*k*k),
 		dB: tensor.New(1, outC),
 	}
-	fanIn := float64(inC * k * k)
-	c.Wt.RandomUniform(r, math.Sqrt(6.0/fanIn))
-	return c
 }
 
 // Name implements Layer.

@@ -71,19 +71,26 @@ type Dense struct {
 // NewDense constructs a dense layer with He-uniform initialization
 // (appropriate for the ReLU stacks of the paper's MLP).
 func NewDense(inDim, outDim int, r *rng.Source) *Dense {
+	d := newDense(inDim, outDim)
+	limit := math.Sqrt(6.0 / float64(inDim))
+	d.W.RandomUniform(r, limit)
+	return d
+}
+
+// newDense allocates a dense layer with all-zero weights: what the
+// loader and Clone fill with saved weights, and what NewDense
+// initializes.
+func newDense(inDim, outDim int) *Dense {
 	if inDim <= 0 || outDim <= 0 {
 		panic(fmt.Sprintf("nn: invalid dense dims %dx%d", inDim, outDim))
 	}
-	d := &Dense{
+	return &Dense{
 		InDim: inDim, OutDim_: outDim,
 		W:  tensor.New(inDim, outDim),
 		B:  tensor.New(1, outDim),
 		dW: tensor.New(inDim, outDim),
 		dB: tensor.New(1, outDim),
 	}
-	limit := math.Sqrt(6.0 / float64(inDim))
-	d.W.RandomUniform(r, limit)
-	return d
 }
 
 // Name implements Layer.
@@ -227,6 +234,11 @@ type Residual struct {
 // NewResidual constructs a width-preserving residual block.
 func NewResidual(dim int, r *rng.Source) *Residual {
 	return &Residual{dim: dim, d1: NewDense(dim, dim, r), d2: NewDense(dim, dim, r), act: NewReLU()}
+}
+
+// newResidual is NewResidual with all-zero weights (see newDense).
+func newResidual(dim int) *Residual {
+	return &Residual{dim: dim, d1: newDense(dim, dim), d2: newDense(dim, dim), act: NewReLU()}
 }
 
 // Name implements Layer.

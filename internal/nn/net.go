@@ -271,11 +271,3 @@ func NewResMLP(cfg ResMLPConfig, r *rng.Source) (*Network, error) {
 	layers = append(layers, NewDense(cfg.Hidden, cfg.OutDim, r))
 	return NewNetwork(cfg.InDim, layers...)
 }
-
-// ensureRng returns r or a fresh deterministic source.
-func ensureRng(r *rng.Source) *rng.Source {
-	if r == nil {
-		return rng.New(0)
-	}
-	return r
-}

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -57,7 +56,7 @@ func layerOf(s layerSpec) (Layer, error) {
 		if len(s.Ints) != 2 {
 			return nil, fmt.Errorf("nn: dense spec wants 2 ints, got %d", len(s.Ints))
 		}
-		d := NewDense(s.Ints[0], s.Ints[1], ensureRng(nil))
+		d := newDense(s.Ints[0], s.Ints[1])
 		if len(s.W) != d.W.Len() || len(s.B) != d.B.Len() {
 			return nil, fmt.Errorf("nn: dense weight payload mismatch")
 		}
@@ -70,7 +69,7 @@ func layerOf(s layerSpec) (Layer, error) {
 		if len(s.Ints) != 5 {
 			return nil, fmt.Errorf("nn: conv2d spec wants 5 ints, got %d", len(s.Ints))
 		}
-		c := NewConv2D(s.Ints[0], s.Ints[1], s.Ints[2], s.Ints[3], s.Ints[4], ensureRng(nil))
+		c := newConv2D(s.Ints[0], s.Ints[1], s.Ints[2], s.Ints[3], s.Ints[4])
 		if len(s.W) != c.Wt.Len() || len(s.B) != c.B.Len() {
 			return nil, fmt.Errorf("nn: conv2d weight payload mismatch")
 		}
@@ -87,7 +86,7 @@ func layerOf(s layerSpec) (Layer, error) {
 			return nil, fmt.Errorf("nn: residual spec wants 1 int, got %d", len(s.Ints))
 		}
 		dim := s.Ints[0]
-		b := NewResidual(dim, ensureRng(nil))
+		b := newResidual(dim)
 		wLen := dim * dim
 		if len(s.W) != 2*wLen || len(s.B) != 2*dim {
 			return nil, fmt.Errorf("nn: residual weight payload mismatch")
@@ -103,8 +102,11 @@ func layerOf(s layerSpec) (Layer, error) {
 }
 
 // netToFile snapshots a network's architecture and weights as the
-// serializable netFile payload shared by the model format (Save) and
-// the training-checkpoint format (internal/nn checkpoints).
+// netFile payload shared by the model format (Save), the
+// training-checkpoint format (internal/nn checkpoints) and Clone. The
+// dense and conv payloads alias the network's weight storage: encode
+// them or hand them to netFromFile (which copies) before the network
+// changes.
 func netToFile(net *Network) (netFile, error) {
 	file := netFile{Version: fileVersion, InDim: net.InDim}
 	for _, l := range net.Layers {
@@ -117,8 +119,9 @@ func netToFile(net *Network) (netFile, error) {
 	return file, nil
 }
 
-// netFromFile reconstructs a network from a netFile payload; the
-// result is bit-identical to the snapshotted one.
+// netFromFile reconstructs a network from a netFile payload on freshly
+// allocated tensors; the result is bit-identical to the snapshotted one
+// and shares no storage with the payload.
 func netFromFile(file netFile) (*Network, error) {
 	if file.Version != fileVersion {
 		return nil, fmt.Errorf("nn: unsupported model version %d", file.Version)
@@ -153,17 +156,20 @@ func Load(r io.Reader) (*Network, error) {
 }
 
 // Clone returns a deep copy of the network: same architecture,
-// bit-identical weights, fresh scratch. A Network's forward scratch
-// makes sharing one instance across concurrently stepping simulations a
-// data race, so per-scenario sweeps on the per-call path clone the
-// solver network once per scenario; the batched inference server
-// (internal/batch) is the alternative that shares a single instance.
+// bit-identical weights, fresh scratch. It is the structural half of a
+// Save/Load round trip — snapshot the layers, rebuild them around
+// freshly allocated tensors, copy the weights in — without the
+// encoding in between. A Network's forward scratch makes sharing one
+// instance across concurrently stepping simulations a data race, so
+// per-scenario sweeps on the per-call path clone the solver network
+// once per scenario; the batched inference server (internal/batch) is
+// the alternative that shares a single instance.
 func Clone(net *Network) (*Network, error) {
-	var buf bytes.Buffer
-	if err := Save(net, &buf); err != nil {
+	file, err := netToFile(net)
+	if err != nil {
 		return nil, err
 	}
-	return Load(&buf)
+	return netFromFile(file)
 }
 
 // SaveFile saves the network to path.
