@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-train bench bench-json bench-gate bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
+.PHONY: all build test test-cpu vet lint race race-train race-parallel bench bench-json bench-gate bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
 
 all: ci
 
@@ -11,6 +11,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-cpu reruns the kernel determinism and property tests of the two
+# packages whose particle loops sit directly on internal/parallel's
+# worker team with the process started at 1, 2 and 4 processors, so the
+# team's size at start-up varies as well as the GOMAXPROCS the tests
+# switch to themselves.
+test-cpu:
+	$(GO) test -cpu 1,2,4 ./internal/interp ./internal/phasespace
 
 vet:
 	$(GO) vet ./...
@@ -41,6 +49,13 @@ race:
 # checkpoint/resume of the sharded trainer at Workers=1,2,4,8).
 race-train:
 	$(GO) test -race -run 'BitIdentical|Sharded|TailBatch|ShardEngine|ForwardShard|Checkpoint|Resume|Pipelined' ./internal/nn/
+
+# race-parallel repeats internal/parallel's own suite under the race
+# detector at 1, 2 and 4 processors. `make race` runs it once; the worker
+# team's park/wake handshake is a timing window, and it takes repetition
+# at several team sizes to land in it.
+race-parallel:
+	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/parallel
 
 # bench measures the parallel hot path, sweep throughput, batched
 # inference and sharded training at 1, 4 and all cores (bit-identical

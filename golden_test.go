@@ -71,7 +71,7 @@ func TestGoldenStateHashes(t *testing.T) {
 		{"oracle/NGP-binning", paper(12, interp.CIC), oracle(interp.NGP), "523f32674b967508"},
 		{"oracle/CIC-binning", paper(12, interp.CIC), oracle(interp.CIC), "9912adbf959a8490"},
 	}
-	for _, procs := range []int{1, 2} {
+	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, c := range cases {
 			var method pic.FieldMethod
@@ -102,7 +102,7 @@ func TestGoldenCorpusHash(t *testing.T) {
 	base := pic.Default()
 	base.ParticlesPerCell = 100 // 6400 particles: the binning spans several chunks
 	const want = "ef9bc2ad7c2b22ae"
-	for _, procs := range []int{1, 2} {
+	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{1, 2} {
 			ds, err := dataset.Generate(dataset.GenerateOpts{

@@ -179,9 +179,7 @@ func ScatterReduceBlocked(n int, out []float64, body func(acc []float64, start, 
 	}
 	p := getScratch(k * width)
 	buf := *p
-	ForChunks(n, func(chunk, start, end int) {
-		body(buf[chunk*width:(chunk+1)*width], start, end)
-	})
+	runChunks(job{kind: scatterJob, n: n, k: k, accBody: body, out: out, buf: buf})
 	ForThreshold(width, 2048, func(js, je int) {
 		for c := 0; c < k; c++ {
 			row := buf[c*width+js : c*width+je]

@@ -1,22 +1,68 @@
-// Package parallel provides small helpers for data-parallel loops used
-// throughout the PIC and neural-network kernels.
+// Package parallel provides the data-parallel loops used throughout the
+// PIC and neural-network kernels, and the worker team they run on.
 //
-// The helpers favour determinism. With the chunked primitives
-// (ForChunks, ScatterReduce, ReduceSums) the range [0, n) is split
-// into a fixed number of chunks
-// that depends only on n — never on GOMAXPROCS — and per-chunk partial
-// results are combined in chunk-index order. Because both the partial
-// sums and the reduction order are invariant under the worker count,
-// their output is bit-identical across any GOMAXPROCS setting,
-// including the fully serial GOMAXPROCS=1 path. The PIC hot-path
-// kernels (deposit, kick, field reductions) are built on these, which
-// is what makes whole simulations reproducible across machines with
-// different core counts.
+// # Determinism
+//
+// With the chunked primitives (ForChunks, ScatterReduce, ReduceSums) the
+// range [0, n) is split into a fixed number of chunks that depends only
+// on n — never on GOMAXPROCS — and per-chunk partial results are
+// combined in chunk-index order. Because both the partial sums and the
+// reduction order are invariant under the worker count, their output is
+// bit-identical across any GOMAXPROCS setting, including the fully
+// serial GOMAXPROCS=1 path. The PIC hot-path kernels (deposit, kick,
+// field reductions) are built on these, which is what makes whole
+// simulations reproducible across machines with different core counts.
 //
 // ScatterCount is the one primitive that reaches the same guarantee
 // without a fixed decomposition: whole-number counts add exactly in
 // float64, so every split and every reduction order gives the same
-// bits. The NGP phase-space binning runs on it.
+// bits. The NGP phase-space binning runs on it. For cuts [0, n) into one
+// piece per worker, which is safe only for bodies that compute each
+// element on its own.
+//
+// # The worker team
+//
+// A PIC step is four or five such loops of 50–150 µs each. Starting
+// goroutines for every one of them means waking a sleeping thread every
+// time, and that wake-up costs about as much as the second processor
+// saves. So the fine-grained loops (For, ForThreshold, ForChunks, the
+// scatter primitives) share one persistent team instead: GOMAXPROCS−1
+// helper goroutines, started the first time they are wanted and kept
+// for the life of the process. Four rules govern it.
+//
+//  1. The caller works. It publishes a job — the body, how many
+//     indices, one word that hands them out — then takes indices itself
+//     until none are left, and waits only for indices a helper has
+//     already claimed, yielding the processor while it does. A helper
+//     that is parked, descheduled or starved makes a loop slower; it
+//     cannot make it hang, because the caller can run every index alone.
+//  2. One job at a time. The team is taken with TryLock. A caller that
+//     finds it taken — a second goroutine's loop, or a loop started from
+//     inside a body — runs its own loop inline on its own goroutine.
+//     Nothing else ever starts goroutines for a fine-grained loop.
+//     Inline is result-neutral for the reason above: the chunked
+//     primitives make the same body calls in the same decomposition
+//     whoever runs them, For's bodies do not care where they are cut,
+//     and ScatterCount's counts are exact under any split.
+//  3. Idle helpers spin, then park. A helper without work watches the
+//     job word in short runs of atomic loads with a runtime.Gosched
+//     between runs, so any other runnable goroutine gets the processor
+//     within a fraction of a microsecond. After a fixed number of runs
+//     (spinRounds — a count, never a clock reading) it parks on a
+//     channel, and a publisher sends a wake-up only to helpers it sees
+//     parked. The budget outlasts the serial stretches inside a PIC step
+//     (the longest is the ~120 µs batch-1 inference), so within a run
+//     the helpers stay hot; an idle process has them parked, costing
+//     nothing, within about a millisecond of its last loop.
+//  4. Coarse pools stay on plain goroutines. ForPool, ForPoolWorkers and
+//     Async run millisecond-to-second tasks (whole simulations, training
+//     shards); a join that spins is wrong at that scale and a wake-up is
+//     noise. While such a pool runs, the fine-grained loops inside its
+//     tasks run inline (poolDepth), as they always have.
+//
+// How many helpers may join a job is re-read from GOMAXPROCS on every
+// call, so lowering it shrinks participation at once; the chunked
+// decomposition never follows it. TeamStats counts what the team did.
 package parallel
 
 import (
@@ -25,17 +71,17 @@ import (
 	"sync/atomic"
 )
 
-// poolDepth counts ForPool invocations that currently have goroutine
-// workers running. While one is active the fine-grained loops run
-// inline: the outer pool already saturates the cores, and fanning
-// GOMAXPROCS goroutines out of every pooled task would multiply
-// concurrency to ~P^2. Inlining never changes results — the chunked
-// primitives are bit-identical serial vs parallel by construction.
+// poolDepth counts ForPool and ForPoolWorkers invocations that
+// currently have goroutine workers running. While one is active the
+// fine-grained loops run inline: the outer pool already saturates the
+// cores. Inlining never changes results — the chunked primitives are
+// bit-identical serial vs parallel by construction.
 var poolDepth atomic.Int32
 
-// maxWorkers bounds the number of goroutines launched by the
-// fine-grained loops. It defaults to GOMAXPROCS, dropping to 1 inside
-// an active ForPool.
+// maxWorkers bounds the number of goroutines that take part in one
+// fine-grained loop: the caller plus team helpers. It is re-read on
+// every call and defaults to GOMAXPROCS, dropping to 1 inside an active
+// ForPool.
 func maxWorkers() int {
 	if poolDepth.Load() > 0 {
 		return 1
@@ -47,35 +93,15 @@ func maxWorkers() int {
 	return n
 }
 
-// runPool dispatches fn(i) for i in [0, count) to workers goroutines
-// pulling indices from a shared counter. Callers normalize workers to
-// [2, count] first.
-func runPool(count, workers int, fn func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= count {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// For splits the half-open index range [0, n) into contiguous chunks and
-// runs body(start, end) for each chunk on its own goroutine. It blocks
-// until every chunk completes. body must be safe to call concurrently on
-// disjoint ranges.
+// For splits the half-open index range [0, n) into one contiguous piece
+// per worker and runs body(start, end) for each piece, on the calling
+// goroutine and the team's helpers. It blocks until every piece
+// completes. body must be safe to call concurrently on disjoint ranges.
+// The split follows GOMAXPROCS, so body must compute each element
+// independently of where the pieces are cut.
 //
-// For small n the loop runs inline on the calling goroutine to avoid
-// scheduling overhead.
+// For small n, and whenever the team is busy, the loop runs inline on the
+// calling goroutine as body(0, n).
 func For(n int, body func(start, end int)) {
 	ForThreshold(n, 2048, body)
 }
@@ -87,31 +113,16 @@ func ForThreshold(n, threshold int, body func(start, end int)) {
 		return
 	}
 	workers := maxWorkers()
-	if n < threshold || workers == 1 {
-		body(0, n)
-		return
-	}
 	if workers > n {
 		workers = n
 	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		start := w * chunk
-		if start >= n {
-			break
-		}
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			body(s, e)
-		}(start, end)
+	if n >= threshold && workers > 1 && crew.acquire() {
+		piece := (n + workers - 1) / workers
+		pieces := (n + piece - 1) / piece
+		crew.run(job{kind: rangeJob, n: n, k: piece, rangeBody: body}, pieces, pieces)
+		return
 	}
-	wg.Wait()
+	body(0, n)
 }
 
 // Async runs task on its own goroutine and returns a wait function
@@ -173,33 +184,35 @@ func chunkBounds(n, k, c int) (start, end int) {
 	return
 }
 
-// ForChunks runs body(chunk, start, end) for every chunk of [0, n),
-// distributing chunks over up to GOMAXPROCS goroutines via a shared
+// ForChunks runs body(chunk, start, end) for every chunk of [0, n), the
+// calling goroutine and the team's helpers pulling chunks from a shared
 // counter. The decomposition depends only on n, so the set of
 // (chunk, start, end) calls is identical at every GOMAXPROCS. It
 // returns the chunk count so callers can reduce per-chunk partials in
 // chunk order.
 func ForChunks(n int, body func(chunk, start, end int)) int {
 	k := NumChunks(n)
-	if k == 0 {
-		return 0
+	if k > 0 {
+		runChunks(job{kind: chunkJob, n: n, k: k, chunkBody: body})
 	}
-	workers := maxWorkers()
-	if workers > k {
-		workers = k
-	}
-	if workers == 1 {
-		for c := 0; c < k; c++ {
-			s, e := chunkBounds(n, k, c)
-			body(c, s, e)
-		}
-		return k
-	}
-	runPool(k, workers, func(c int) {
-		s, e := chunkBounds(n, k, c)
-		body(c, s, e)
-	})
 	return k
+}
+
+// runChunks runs a chunk-indexed job over all its chunks: on the team
+// when more than one worker may run and the team is free, otherwise
+// inline in chunk order.
+func runChunks(j job) {
+	workers := maxWorkers()
+	if workers > j.k {
+		workers = j.k
+	}
+	if workers > 1 && crew.acquire() {
+		crew.run(j, j.k, workers)
+		return
+	}
+	for c := 0; c < j.k; c++ {
+		j.run(0, c)
+	}
 }
 
 // scratchPool recycles the flat per-chunk accumulator buffers used by
@@ -244,9 +257,7 @@ func ScatterReduce(n int, out []float64, body func(acc []float64, start, end int
 	}
 	p := getScratch(k * width)
 	buf := *p
-	ForChunks(n, func(chunk, start, end int) {
-		body(buf[chunk*width:(chunk+1)*width], start, end)
-	})
+	runChunks(job{kind: scatterJob, n: n, k: k, accBody: body, out: out, buf: buf})
 	for c := 0; c < k; c++ {
 		row := buf[c*width : (c+1)*width]
 		for i, v := range row {
@@ -264,10 +275,10 @@ func ScatterReduce(n int, out []float64, body func(acc []float64, start, end int
 // partial counts are added — the accumulator per chunk and the
 // chunk-order reduction ScatterReduce pays for buy nothing here.
 // ScatterCount keeps one accumulator per worker instead: the workers
-// pull chunks of [0, n) from a shared counter, worker 0 counts straight
-// into out and every further worker into one private buffer that is
-// added to out afterwards. When the loop runs inline — one processor, a
-// single chunk, or inside a ForPool — the whole range counts into out
+// pull chunks of [0, n) from a shared counter, the caller counts straight
+// into out and every helper into one private buffer that is added to out
+// afterwards. When the loop runs inline — one processor, a single chunk,
+// a busy team, or inside a ForPool — the whole range counts into out
 // and no buffer exists. out is overwritten. body must add only
 // non-negative whole numbers to acc for elements [start, end) and must
 // not retain acc.
@@ -287,32 +298,13 @@ func ScatterCount(n int, out []float64, body func(acc []float64, start, end int)
 	if workers > k {
 		workers = k
 	}
-	if workers == 1 || width == 0 {
+	if workers == 1 || width == 0 || !crew.acquire() {
 		body(out, 0, n)
 		return
 	}
 	p := getScratch((workers - 1) * width)
 	buf := *p
-	// One pool task per accumulator; each drains the shared chunk counter.
-	// A goroutine that empties it before its peers start goes on to take
-	// their slots and finds nothing left, which is fine. (Not
-	// ForPoolWorkers: that marks a coarse pool active, which would make an
-	// unrelated ForPool starting during the scatter resolve to one worker.)
-	var next atomic.Int64
-	runPool(workers, workers, func(w int) {
-		acc := out
-		if w > 0 {
-			acc = buf[(w-1)*width : w*width]
-		}
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= k {
-				return
-			}
-			s, e := chunkBounds(n, k, c)
-			body(acc, s, e)
-		}
-	})
+	crew.run(job{kind: countJob, n: n, k: k, accBody: body, out: out, buf: buf}, k, workers)
 	for w := 1; w < workers; w++ {
 		for i, v := range buf[(w-1)*width : w*width] {
 			out[i] += v
@@ -341,24 +333,8 @@ func ReduceSums(n int, sums []float64, body func(partial []float64, start, end i
 // tasks execute inline (see poolDepth): coarse outer parallelism wins
 // over nested fan-out. A pool that runs serially (workers resolves to
 // 1) leaves inner parallelism enabled — there the kernels are the only
-// source of concurrency.
+// source of concurrency. It is ForPoolWorkers for tasks that do not
+// need to know their worker.
 func ForPool(n, workers int, task func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = maxWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			task(i)
-		}
-		return
-	}
-	poolDepth.Add(1)
-	defer poolDepth.Add(-1)
-	runPool(n, workers, task)
+	ForPoolWorkers(n, workers, func(_, i int) { task(i) })
 }

@@ -62,12 +62,17 @@ func collectWants(t *testing.T, root string) []*wantDiag {
 	return wants
 }
 
+// testLoader is shared by the test cases, so the standard-library
+// packages testdata/src and the module both import are type-checked
+// once.
+var testLoader = newLoader()
+
 // TestTestdataDiagnostics runs the full suite over testdata/src and
 // requires an exact bidirectional match: every diagnostic is expected
 // by a want comment at its file:line, and every want comment is hit.
 func TestTestdataDiagnostics(t *testing.T) {
 	root := filepath.Join("testdata", "src")
-	set, err := loadPackages(root)
+	set, err := testLoader.load(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +127,7 @@ func TestRepoLintCleanAndRacePackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the entire module")
 	}
-	set, err := loadPackages(filepath.Join("..", ".."))
+	set, err := testLoader.load(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}

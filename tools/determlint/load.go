@@ -24,7 +24,7 @@ type lintPkg struct {
 	info  *types.Info
 }
 
-// pkgSet is everything loadPackages produced: the shared FileSet, the
+// pkgSet is everything one loader.load produced: the shared FileSet, the
 // module path (empty outside a module) and the packages in walk order.
 type pkgSet struct {
 	fset    *token.FileSet
@@ -32,15 +32,34 @@ type pkgSet struct {
 	pkgs    []*lintPkg
 }
 
-// loadPackages parses and type-checks every non-test package under
-// root, resolving imports with the go/types source importer (the
-// module is deliberately dependency-free, so the standard library
-// importer is all this needs). Hidden, vendor and testdata directories
-// are skipped. Type-check failures are hard errors: the tree must
-// build before it can be linted.
-func loadPackages(root string) (*pkgSet, error) {
-	set := &pkgSet{fset: token.NewFileSet(), modPath: modulePath(root)}
-	imp := importer.ForCompiler(set.fset, "source", nil)
+// loader owns what package loads can share: the FileSet and the
+// go/types source importer, which type-checks each standard-library
+// package it is asked for once and keeps it. Trees loaded through one
+// loader therefore pay for the standard library once between them.
+type loader struct {
+	fset *token.FileSet
+	std  types.ImporterFrom
+}
+
+func newLoader() *loader {
+	fset := token.NewFileSet()
+	return &loader{fset: fset, std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
+}
+
+// load parses and type-checks every non-test package under root.
+// Imports of the module's own packages resolve to the packages this
+// load type-checks — each once, whichever of the walk or an importer
+// reaches it first — and everything else goes to the source importer
+// (the module is deliberately dependency-free, so that is the standard
+// library). Hidden, vendor and testdata directories are skipped.
+// Type-check failures are hard errors: the tree must build before it
+// can be linted.
+func (l *loader) load(root string) (*pkgSet, error) {
+	t := &tree{
+		loader: l, root: root,
+		set:   &pkgSet{fset: l.fset, modPath: modulePath(root)},
+		byRel: map[string]*lintPkg{},
+	}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -53,48 +72,100 @@ func loadPackages(root string) (*pkgSet, error) {
 				name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
-		files, err := parseDir(set.fset, path)
-		if err != nil {
-			return err
-		}
-		if len(files) == 0 {
-			return nil
-		}
 		rel, err := filepath.Rel(root, path)
 		if err != nil {
 			return err
 		}
-		rel = filepath.ToSlash(rel)
-		checkPath := rel
-		if set.modPath != "" {
-			if rel == "." {
-				checkPath = set.modPath
-			} else {
-				checkPath = set.modPath + "/" + rel
-			}
+		p, err := t.check(filepath.ToSlash(rel))
+		if err != nil {
+			return err
 		}
-		var typeErrs []error
-		conf := types.Config{
-			Importer: imp,
-			Error:    func(e error) { typeErrs = append(typeErrs, e) },
+		if p != nil {
+			t.set.pkgs = append(t.set.pkgs, p)
 		}
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		pkg, _ := conf.Check(checkPath, set.fset, files, info)
-		if len(typeErrs) > 0 {
-			return fmt.Errorf("typecheck %s: %v", rel, typeErrs[0])
-		}
-		set.pkgs = append(set.pkgs, &lintPkg{rel: rel, files: files, pkg: pkg, info: info})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return set, nil
+	return t.set, nil
+}
+
+// tree is one load in progress: the packages type-checked so far by
+// directory, and the importer that hands them to each other.
+type tree struct {
+	*loader
+	root  string
+	set   *pkgSet
+	byRel map[string]*lintPkg // nil entry: check in progress, or no Go files
+}
+
+// check type-checks the package in directory rel (slash separated,
+// relative to the root) unless it already has, and returns nil for a
+// directory without non-test Go files.
+func (t *tree) check(rel string) (*lintPkg, error) {
+	if p, seen := t.byRel[rel]; seen {
+		return p, nil
+	}
+	t.byRel[rel] = nil
+	files, err := parseDir(t.fset, filepath.Join(t.root, filepath.FromSlash(rel)))
+	if err != nil || len(files) == 0 {
+		return nil, err
+	}
+	checkPath := rel
+	if t.set.modPath != "" {
+		if rel == "." {
+			checkPath = t.set.modPath
+		} else {
+			checkPath = t.set.modPath + "/" + rel
+		}
+	}
+	var typeErrs []error
+	conf := types.Config{
+		Importer: t,
+		Error:    func(e error) { typeErrs = append(typeErrs, e) },
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	pkg, _ := conf.Check(checkPath, t.fset, files, info)
+	if len(typeErrs) > 0 {
+		return nil, fmt.Errorf("typecheck %s: %v", rel, typeErrs[0])
+	}
+	p := &lintPkg{rel: rel, files: files, pkg: pkg, info: info}
+	t.byRel[rel] = p
+	return p, nil
+}
+
+// Import implements types.Importer.
+func (t *tree) Import(path string) (*types.Package, error) {
+	return t.ImportFrom(path, "", 0)
+}
+
+// ImportFrom implements types.ImporterFrom: the module's own packages
+// come from this load, the rest from the shared source importer. (Left
+// to the source importer, each module-local import path costs a `go
+// list` subprocess and a second type-check of that package.)
+func (t *tree) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	mod := t.set.modPath
+	if mod == "" || (path != mod && !strings.HasPrefix(path, mod+"/")) {
+		return t.std.ImportFrom(path, dir, mode)
+	}
+	rel := "."
+	if path != mod {
+		rel = strings.TrimPrefix(path, mod+"/")
+	}
+	p, err := t.check(rel)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return nil, fmt.Errorf("import %q: no Go files, or an import cycle", path)
+	}
+	return p.pkg, nil
 }
 
 // parseDir parses the non-test Go files of one directory in name

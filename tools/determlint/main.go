@@ -81,7 +81,7 @@ func main() {
 		root = "."
 	}
 
-	set, err := loadPackages(root)
+	set, err := newLoader().load(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "determlint:", err)
 		os.Exit(2)
