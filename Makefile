@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cpu vet lint race race-train race-parallel bench bench-json bench-gate bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
+.PHONY: all build test test-cpu vet lint race race-train race-parallel bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
 
 all: ci
 
@@ -57,38 +57,6 @@ race-train:
 race-parallel:
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/parallel
 
-# bench measures the parallel hot path, sweep throughput, batched
-# inference and sharded training at 1, 4 and all cores (bit-identical
-# physics and weights at every -cpu setting).
-bench:
-	$(GO) test -run xxx -bench 'HotPath|Sweep|Batched|Training|MatMul' -cpu 1,4,8 -benchtime 2s .
-
-# bench-json records the training / inference / sweep / campaign
-# benchmark numbers as JSON (BENCH_PR<N>.json) and diffs them against
-# the previous committed file so PRs track the performance trajectory.
-# The PR number is auto-detected: one past the newest committed
-# BENCH_PR*.json. Override with `make bench-json PR=7` (the diff base
-# is then the newest file numbered below PR, so re-running inside one
-# PR keeps diffing against the predecessor, not against itself).
-BENCH_LATEST := $(shell ls BENCH_PR*.json 2>/dev/null | sed -E 's/.*BENCH_PR([0-9]+)\.json/\1/' | sort -n | tail -1)
-PR ?= $(shell expr $(BENCH_LATEST) + 1)
-BENCH_PREV = $(shell ls BENCH_PR*.json 2>/dev/null | sed -E 's/.*BENCH_PR([0-9]+)\.json/\1/' | awk '$$1 < $(PR)' | sort -n | tail -1)
-bench-json:
-	@test -n "$(BENCH_PREV)" || { echo "bench-json: no previous BENCH_PR*.json below PR=$(PR) to diff against"; exit 1; }
-	$(GO) test -run xxx -bench 'Training|Batched|Sweep|MatMul' -cpu 1,4,8 -benchtime 1s . \
-		| $(GO) run ./tools/benchjson -out BENCH_PR$(PR).json -diff BENCH_PR$(BENCH_PREV).json
-
-# bench-gate asserts the structural performance ratios (batched vs
-# per-call inference, tiled vs reference GEMM, sharded vs serial
-# training, batched vs per-cell lease claims) in the newest committed
-# BENCH_PR*.json stay inside fixed bounds. Ratios between benchmarks
-# from the same recording cancel out machine speed, so the gate holds
-# on any hardware — it catches a structurally disabled optimization,
-# not noise. Runs in CI without re-running the benchmarks.
-bench-gate:
-	@test -n "$(BENCH_LATEST)" || { echo "bench-gate: no committed BENCH_PR*.json to gate"; exit 1; }
-	$(GO) run ./tools/benchjson -gate BENCH_PR$(BENCH_LATEST).json
-
 # bench-smoke keeps the repository benchmark building and passing its
 # own checks. tools/bench is its own module, so `make ci` never compiles
 # it and a kernel signature change would break it unnoticed: vet and
@@ -106,16 +74,18 @@ bench-smoke:
 # require the bit-exact campaign digest to match the uninterrupted run.
 SMOKE_FLAGS = -scan -methods traditional,oracle -scan-v0s 0.2 -scan-vths 0,0.01 \
 	-scan-ppc 40 -steps 40 -workers 4
+SC_DIR ?= /tmp/dlpic-smoke-campaign
 smoke-campaign:
-	$(GO) build -o /tmp/dlpic-smoke ./cmd/experiments
-	rm -f /tmp/dlpic-smoke-full.jsonl /tmp/dlpic-smoke-part.jsonl
-	/tmp/dlpic-smoke $(SMOKE_FLAGS) -journal /tmp/dlpic-smoke-full.jsonl > /tmp/dlpic-smoke-full.out
-	head -n 2 /tmp/dlpic-smoke-full.jsonl > /tmp/dlpic-smoke-part.jsonl
-	/tmp/dlpic-smoke $(SMOKE_FLAGS) -resume /tmp/dlpic-smoke-part.jsonl > /tmp/dlpic-smoke-resumed.out
-	grep '^campaign digest:' /tmp/dlpic-smoke-full.out > /tmp/dlpic-smoke-digest-full
-	grep '^campaign digest:' /tmp/dlpic-smoke-resumed.out > /tmp/dlpic-smoke-digest-resumed
-	cat /tmp/dlpic-smoke-digest-full
-	diff /tmp/dlpic-smoke-digest-full /tmp/dlpic-smoke-digest-resumed
+	mkdir -p $(SC_DIR)
+	rm -f $(SC_DIR)/full.jsonl $(SC_DIR)/part.jsonl
+	$(GO) build -o $(SC_DIR)/exp ./cmd/experiments
+	$(SC_DIR)/exp $(SMOKE_FLAGS) -journal $(SC_DIR)/full.jsonl > $(SC_DIR)/full.out
+	head -n 2 $(SC_DIR)/full.jsonl > $(SC_DIR)/part.jsonl
+	$(SC_DIR)/exp $(SMOKE_FLAGS) -resume $(SC_DIR)/part.jsonl > $(SC_DIR)/resumed.out
+	grep '^campaign digest:' $(SC_DIR)/full.out > $(SC_DIR)/digest-full
+	grep '^campaign digest:' $(SC_DIR)/resumed.out > $(SC_DIR)/digest-resumed
+	cat $(SC_DIR)/digest-full
+	diff $(SC_DIR)/digest-full $(SC_DIR)/digest-resumed
 
 # smoke-train is the CI kill/resume gate for *training*, mirroring
 # smoke-campaign one layer down. Part 1 (cmd/train): start a fit with

@@ -21,6 +21,9 @@
 // checkpoint journal; -resume FILE continues an interrupted campaign,
 // re-running only the missing cells and reproducing the uninterrupted
 // results bit-identically (the printed campaign digest matches).
+// -batched routes the DL methods' field solves through one shared
+// batched-inference server, bit-identical to the per-call path; it,
+// -batch and -f32 are rejected when -methods names no DL method.
 //
 // -coordinator ADDR hosts the scan as a distributed campaign: instead
 // of the local sweep pool, a coordinator hub listens on ADDR and
@@ -43,7 +46,6 @@ import (
 	"time"
 
 	"dlpic/internal/ascii"
-	"dlpic/internal/batch"
 	"dlpic/internal/campaign"
 	"dlpic/internal/cliutil"
 	"dlpic/internal/diag"
@@ -78,7 +80,7 @@ func main() {
 		journal = flag.String("journal", "", "append each completed scan cell to this checkpoint journal (JSON lines)")
 		resume  = flag.String("resume", "", "resume an interrupted scan campaign from this journal, skipping completed cells")
 		bundles = flag.String("bundle-dir", "", "persist and reuse trained model bundles + epoch-granular training checkpoints in this directory, keyed by training fingerprint (default: <journal>.artifacts when -journal/-resume is set; DL methods then resume mid-training and a completed campaign resumes with zero training epochs)")
-		batched = flag.Bool("batched", false, "route DL field solves through the shared batched-inference server; without -methods, runs the per-call vs batched A/B verification scan")
+		batched = flag.Bool("batched", false, "route the scan's DL field solves (-methods mlp, cnn) through the shared batched-inference server; results are bit-identical to the per-call path")
 		batchN  = flag.Int("batch", 0, "batched-inference flush cap (0 = default)")
 		f32     = flag.Bool("f32", false, "run DL field solves in float32 (converted weights, ~half the inference memory traffic); dense stacks (mlp) only — results drift within the nn.MeasureDrift32 bounds, so digests only reproduce against other -f32 runs")
 		coord   = flag.String("coordinator", "", "host the -scan campaign's coordinator at this address (host:port) and execute on dlpicworker fleets instead of the local pool (needs -journal or -resume)")
@@ -93,25 +95,14 @@ func main() {
 		os.Exit(1)
 	}
 	if *scan {
-		var err error
-		if *batched && *methods == "" {
-			// The A/B verification scan has no campaign journal; reject
-			// checkpoint flags instead of silently dropping them.
-			if *journal != "" || *resume != "" || *bundles != "" {
-				err = errors.New("-journal/-resume/-bundle-dir need a campaign scan: pass -methods (e.g. -methods mlp -batched)")
-			} else {
-				err = runBatchedScan(*scanV0s, *scanVth, *scanRep, *steps, *seed, *workers, *batchN, *paper, *load, *trainW, *trainP, *f32)
-			}
-		} else {
-			err = runMethodScan(scanArgs{
-				v0s: *scanV0s, vths: *scanVth, repeats: *scanRep, ppc: *scanPPC,
-				steps: *steps, seed: *seed, workers: *workers,
-				methods: *methods, batched: *batched, batchN: *batchN,
-				journal: *journal, resume: *resume, bundleDir: *bundles,
-				paper: *paper, load: *load, trainWorkers: *trainW,
-				trainPipeline: *trainP, f32: *f32, coordinator: *coord,
-			})
-		}
+		err := runMethodScan(scanArgs{
+			v0s: *scanV0s, vths: *scanVth, repeats: *scanRep, ppc: *scanPPC,
+			steps: *steps, seed: *seed, workers: *workers,
+			methods: *methods, batched: *batched, batchN: *batchN,
+			journal: *journal, resume: *resume, bundleDir: *bundles,
+			paper: *paper, load: *load, trainWorkers: *trainW,
+			trainPipeline: *trainP, f32: *f32, coordinator: *coord,
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
@@ -213,6 +204,10 @@ func runMethodScan(a scanArgs) error {
 		// Reject instead of silently ignoring — nothing would ever be
 		// written there (same rule as the other campaign flags).
 		return fmt.Errorf("-bundle-dir needs a DL method (mlp, cnn); got -methods %s", raw)
+	}
+	if (a.batched || a.batchN != 0 || a.f32) && !needMLP && !needCNN {
+		// Same rule: these only change how a network's field solves run.
+		return fmt.Errorf("-batched/-batch/-f32 act on DL field solves and need a DL method (mlp, cnn); got -methods %s", raw)
 	}
 	if bundleDir != "" && a.load != "" {
 		// -load-models bypasses training entirely, so the bundle store
@@ -394,115 +389,6 @@ func scanProgress(stage string) func(done, total int) {
 			fmt.Fprintln(os.Stderr)
 		}
 	}
-}
-
-// runBatchedScan runs the v0 x vth scan with the DL field method twice:
-// once on the per-call path (one cloned solver per scenario, Predict1
-// every step) and once through the batched inference server (one shared
-// network, stacked PredictBatch flushes). It verifies the two result
-// sets are bit-identical and reports timings plus batch statistics. The
-// scan reuses the trained pipeline's base configuration — the model
-// fixes the grid, particle count and normalizer.
-func runBatchedScan(v0sRaw, vthsRaw string, repeats, steps int, seed uint64, workers, batchN int, paper bool, load string, trainWorkers int, trainPipeline, f32 bool) error {
-	v0s, err := cliutil.ParseFloats(v0sRaw)
-	if err != nil {
-		return err
-	}
-	vths, err := cliutil.ParseFloats(vthsRaw)
-	if err != nil {
-		return err
-	}
-	if len(v0s) == 0 || len(vths) == 0 {
-		return fmt.Errorf("empty scan axes (-scan-v0s %q, -scan-vths %q)", v0sRaw, vthsRaw)
-	}
-	p, err := experiments.New(experiments.Options{
-		Tiny: !paper, Paper: paper, Seed: seed, Log: os.Stderr, SkipCNN: true, LoadModels: load,
-		TrainWorkers: trainWorkers, TrainPipeline: trainPipeline, Inference32: f32,
-	})
-	if err != nil {
-		return err
-	}
-	scenarios := sweep.Grid(p.Cfg, v0s, vths, repeats, steps, seed)
-	fmt.Printf("== DL growth-rate scan: %d scenarios x %d steps, %d particles each ==\n",
-		len(scenarios), steps, p.Cfg.NumParticles())
-	fmt.Printf("solver: %s\n", p.MLP.Net.Summary())
-	if f32 {
-		fmt.Println("float32 inference: on (both paths)")
-	}
-	fmt.Println()
-
-	startPC := time.Now()
-	perCall := sweep.Run(scenarios, sweep.Options{
-		Workers: workers,
-		Methods: []sweep.MethodSpec{{Name: "mlp", Factory: func(sweep.Scenario) (pic.FieldMethod, error) {
-			c, err := p.MLP.Clone()
-			if err != nil {
-				return nil, err
-			}
-			c.Inference32 = f32
-			return c, nil
-		}}},
-		Progress: scanProgress("per-call"),
-	})
-	perCallElapsed := time.Since(startPC)
-	if err := sweep.FirstError(perCall); err != nil {
-		return err
-	}
-
-	// The A/B identity holds in either precision: with -f32 both paths
-	// run the same converted predictor, whose batch invariance is the
-	// same property the float64 server relies on.
-	fromSolver := batch.FromNNSolver
-	if f32 {
-		fromSolver = batch.FromNNSolver32
-	}
-	bs, err := fromSolver(p.MLP, batchN)
-	if err != nil {
-		return err
-	}
-	defer bs.Close()
-	startB := time.Now()
-	batchedRes := sweep.Run(scenarios, sweep.Options{
-		Workers:  workers,
-		Methods:  []sweep.MethodSpec{{Name: "mlp-batched", Batcher: bs}},
-		Progress: scanProgress("batched"),
-	})
-	batchedElapsed := time.Since(startB)
-	if err := sweep.FirstError(batchedRes); err != nil {
-		return err
-	}
-
-	fmt.Println(methodScanTable(batchedRes))
-	identical := len(perCall) == len(batchedRes)
-	for i := range perCall {
-		if !identical || !sameSamples(perCall[i].Rec.Samples, batchedRes[i].Rec.Samples) {
-			identical = false
-			break
-		}
-	}
-	st := bs.Server.Stats()
-	fmt.Printf("per-call %v -> batched %v (%.2fx); %d field solves in %d flushes (avg batch %.1f, max %d)\n",
-		perCallElapsed.Round(time.Millisecond), batchedElapsed.Round(time.Millisecond),
-		float64(perCallElapsed)/float64(batchedElapsed),
-		st.Requests, st.Batches, st.AvgBatch(), st.MaxBatch)
-	fmt.Printf("batched results bit-identical to per-call: %v\n\n", identical)
-	if !identical {
-		return fmt.Errorf("batched scan diverged from the per-call path")
-	}
-	return nil
-}
-
-// sameSamples reports bitwise equality of two diagnostics series.
-func sameSamples(a, b []diag.Sample) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func run(paper, tiny bool, seed uint64, outdir string, skipCNN, t1, f4, f5, f6, oracle bool, steps int, load string, trainWorkers int, trainPipeline, f32 bool) error {

@@ -73,16 +73,13 @@ import (
 	"dlpic/internal/core"
 	"dlpic/internal/dataset"
 	"dlpic/internal/diag"
-	"dlpic/internal/dist"
 	"dlpic/internal/nn"
 	"dlpic/internal/phasespace"
 	"dlpic/internal/pic"
 	"dlpic/internal/rng"
-	"dlpic/internal/serve"
 	"dlpic/internal/sweep"
 	"dlpic/internal/tensor"
 	"dlpic/internal/theory"
-	"dlpic/internal/vlasov"
 )
 
 // Re-exported core types. The aliases keep one import path for users
@@ -96,8 +93,6 @@ type (
 	FieldMethod = pic.FieldMethod
 	// Recorder accumulates per-step diagnostics.
 	Recorder = diag.Recorder
-	// Sample is one time level of diagnostics.
-	Sample = diag.Sample
 	// GrowthFit is a fitted exponential growth rate.
 	GrowthFit = diag.GrowthFit
 	// PhaseSpec is the phase-space binning specification.
@@ -403,18 +398,11 @@ type (
 	// the traditional method (zero value), a per-scenario Factory, or a
 	// shared batched Batcher backend.
 	SweepMethodSpec = sweep.MethodSpec
-	// VlasovScenario is one named Vlasov-Poisson run of a sweep.
-	VlasovScenario = sweep.VlasovScenario
-	// VlasovSweepResult is the outcome of one Vlasov scenario.
-	VlasovSweepResult = sweep.VlasovResult
 	// BatchedSolver is a batched DL field-solve backend: one shared
 	// network serving every scenario of a sweep through the
 	// internal/batch inference server. Use it as the Batcher of a
 	// SweepMethodSpec registry entry.
 	BatchedSolver = batch.Solver
-	// BatchStats summarizes the traffic a batched solver has served
-	// (rows, flushes, largest batch).
-	BatchStats = batch.Stats
 )
 
 // SweepGrid builds the v0 x vth x repeats scenario cross product over a
@@ -429,11 +417,6 @@ func RunSweep(scenarios []SweepScenario, opts SweepRunOpts) []SweepResult {
 	return sweep.Run(scenarios, opts)
 }
 
-// RunVlasovSweep is RunSweep for Vlasov-Poisson scenarios.
-func RunVlasovSweep(scenarios []VlasovScenario, opts SweepRunOpts) []VlasovSweepResult {
-	return sweep.RunVlasov(scenarios, opts)
-}
-
 // FirstSweepError returns the first per-scenario error of a sweep, or
 // nil when every scenario succeeded.
 func FirstSweepError(results []SweepResult) error {
@@ -443,30 +426,9 @@ func FirstSweepError(results []SweepResult) error {
 // ---------------------------------------------------------------------------
 // Resumable campaigns
 
-// Campaign types re-exported from internal/campaign.
-type (
-	// CampaignSpec defines a resumable campaign: a scenario grid
-	// crossed with the method registry of Opts.Methods.
-	CampaignSpec = campaign.Spec
-	// CampaignRecord is one journal line of a campaign checkpoint.
-	CampaignRecord = campaign.Record
-	// CampaignRetryPolicy governs how failing cells are retried: the
-	// attempt budget, and deterministic seeded-jitter exponential
-	// backoff between transient-failure retries (set it as
-	// CampaignSpec.Retry).
-	CampaignRetryPolicy = campaign.RetryPolicy
-)
-
-// CampaignTransient reports whether an error looks like a failure
-// worth retrying with backoff inside one run (network resets, injected
-// RPC faults, anything implementing Transient() bool).
-func CampaignTransient(err error) bool { return campaign.Transient(err) }
-
-// CampaignPreemption reports whether an error marks a cell stopped by
-// scheduling rather than by its own physics — a campaign interrupt or
-// an expired distributed lease. Preempted executions are never
-// journaled and never charged a retry attempt.
-func CampaignPreemption(err error) bool { return campaign.Preemption(err) }
+// CampaignSpec defines a resumable campaign (internal/campaign): a
+// scenario grid crossed with the method registry of Opts.Methods.
+type CampaignSpec = campaign.Spec
 
 // RunCampaign executes a multi-method sweep campaign, appending each
 // completed scenario x method cell to the journal at journalPath as it
@@ -494,128 +456,6 @@ func CampaignDigest(results []SweepResult) string {
 	return campaign.Digest(results)
 }
 
-// CampaignArtifactDir returns the canonical directory for persistent
-// training artifacts (trained model bundles, epoch-granular training
-// checkpoints) attached to a campaign journal: "<journalPath>.artifacts".
-// The journal owns results; the artifact directory owns the expensive
-// training stages that produce them, and the two survive independently.
-func CampaignArtifactDir(journalPath string) string {
-	return campaign.ArtifactDir(journalPath)
-}
-
-// ---------------------------------------------------------------------------
-// Campaign service (dlpicd)
-
-// Campaign-service types re-exported from internal/serve: the
-// long-running daemon behind cmd/dlpicd. Submissions are
-// content-addressed (identical specs collapse onto one job), the queue
-// is bounded, trained model bundles are shared across jobs by training
-// fingerprint, and SIGTERM/kill -9 both resume from the campaign
-// journal on the next start.
-type (
-	// Daemon is the campaign service: HTTP job submission, bounded
-	// queue, executor pool, journal-backed persistence.
-	Daemon = serve.Daemon
-	// DaemonConfig configures a Daemon (data directory, queue capacity,
-	// executor and worker counts).
-	DaemonConfig = serve.Config
-	// DaemonCampaignSpec is the wire-format campaign description one
-	// submits to a Daemon (not to be confused with CampaignSpec, the
-	// in-process campaign.Spec alias).
-	DaemonCampaignSpec = serve.CampaignSpec
-	// DaemonJobStatus is one job's wire-format snapshot.
-	DaemonJobStatus = serve.JobStatus
-)
-
-// NewDaemon builds a campaign-service daemon over cfg.DataDir, resumes
-// any unfinished jobs the directory records, and starts its executors.
-// Serve its HTTP API with Daemon.Handler and stop it with Daemon.Drain.
-func NewDaemon(cfg DaemonConfig) (*Daemon, error) { return serve.New(cfg) }
-
-// ---------------------------------------------------------------------------
-// Distributed campaign execution (dlpicd -coordinator + dlpicworker)
-
-// Distributed-execution types re-exported from internal/dist: a
-// coordinator leases pending campaign cells to worker processes over
-// HTTP, heartbeats keep leases alive, expired leases return their
-// cells to the pool, and only the coordinator writes the journal — so
-// workers may be killed, stalled or disconnected at any instant and
-// the campaign digest stays bit-identical to a serial run.
-type (
-	// DistHub routes distributed-execution RPCs to the coordinators of
-	// the jobs currently running (mount with DistHub.Register, run jobs
-	// with DistHub.Run).
-	DistHub = dist.Hub
-	// DistOptions configures coordinators (lease TTL, claim retry
-	// pacing, log sink).
-	DistOptions = dist.Options
-	// DistWorker claims leased cells from a coordinator, executes them
-	// with the sweep engine, heartbeats, and reports results back.
-	DistWorker = dist.Worker
-	// DistWorkerOptions configures a DistWorker (identity, client,
-	// method registry, pacing).
-	DistWorkerOptions = dist.WorkerOptions
-	// DistClient is the worker-side HTTP client of the lease protocol,
-	// optionally wrapped in a deterministic injected-fault plan.
-	DistClient = dist.Client
-	// DistFaultPlan is a deterministic seed-keyed schedule of injected
-	// RPC faults (drops, discarded responses, delays) for chaos testing;
-	// kind-scoped sub-plans (Kinds) target one RPC kind, e.g. bundle
-	// fetches.
-	DistFaultPlan = dist.FaultPlan
-	// DistBundleRef addresses one trained model bundle on the wire:
-	// backing method, storage fingerprint, and the content digest the
-	// worker verifies downloads against.
-	DistBundleRef = dist.BundleRef
-	// DistBundleCache is a worker's on-disk LRU cache of downloaded
-	// model bundles, keyed by fingerprint and digest-verified on insert.
-	DistBundleCache = dist.BundleCache
-	// DistCellGrant is one leased cell inside a batched claim response;
-	// each granted cell carries its own lease and (for DL methods) the
-	// bundle refs it needs.
-	DistCellGrant = dist.CellGrant
-)
-
-// NewDistHub returns a hub whose coordinators run with opts. A serving
-// daemon owns one hub for its lifetime.
-func NewDistHub(opts DistOptions) *DistHub { return dist.NewHub(opts) }
-
-// NewDistClient returns a worker-side client of the coordinator at
-// base (e.g. "http://127.0.0.1:8350"); a non-nil plan injects its
-// deterministic fault schedule on every RPC.
-func NewDistClient(base string, plan *DistFaultPlan) *DistClient {
-	return dist.NewClient(base, plan)
-}
-
-// NewDistWorker builds a worker over opts; drive it with
-// DistWorker.Run.
-func NewDistWorker(opts DistWorkerOptions) (*DistWorker, error) {
-	return dist.NewWorker(opts)
-}
-
-// ParseDistFaultPlan parses the comma-separated fault-plan syntax of
-// dlpicworker's -fault flag, e.g. "seed=7,drop=0.2,err=0.1,
-// delay=0.15:40ms,bundle.drop=0.5" (a kind-prefixed field scopes to
-// that RPC kind). An empty string is a nil (fault-free) plan.
-func ParseDistFaultPlan(s string) (*DistFaultPlan, error) {
-	return dist.ParseFaultPlan(s)
-}
-
-// NewDistBundleCache opens (creating if needed) a worker's on-disk
-// model-bundle cache at dir, holding at most max bundles (<= 0 selects
-// the dist default). Entries left by a previous worker process are
-// adopted; bytes are digest-verified on use.
-func NewDistBundleCache(dir string, max int) (*DistBundleCache, error) {
-	return dist.NewBundleCache(dir, max)
-}
-
-// DistBundleRefFromFile builds the wire reference of a persisted model
-// bundle for the given method name: fingerprint from the basename,
-// digest and size from the bytes.
-func DistBundleRefFromFile(method, path string) (DistBundleRef, error) {
-	return dist.BundleRefFromFile(method, path)
-}
-
 // NewBatchedSolver starts a batched inference backend around a trained
 // solver's network: set the result as the Batcher of a SweepMethodSpec
 // registry entry and that method's field solves are stacked into shared
@@ -626,28 +466,6 @@ func DistBundleRefFromFile(method, path string) (DistBundleRef, error) {
 // using it have returned.
 func NewBatchedSolver(s *NNSolver, maxBatch int) (*BatchedSolver, error) {
 	return batch.FromNNSolver(s, maxBatch)
-}
-
-// NewBatchedSolver32 is NewBatchedSolver on the opt-in float32
-// inference path: the solver's dense weights are converted once and
-// every stacked solve runs in float32 (about half the inference memory
-// traffic). Results drift from the float64 path within the bounds
-// reported by MeasureInferenceDrift; they remain bit-identical across
-// worker counts and batch caps. Dense (MLP) networks only.
-func NewBatchedSolver32(s *NNSolver, maxBatch int) (*BatchedSolver, error) {
-	return batch.FromNNSolver32(s, maxBatch)
-}
-
-// InferenceDrift summarizes float32-vs-float64 prediction disagreement
-// (see MeasureInferenceDrift).
-type InferenceDrift = nn.Drift32
-
-// MeasureInferenceDrift runs every row of x through both the float64
-// network and its float32 conversion and reports the drift statistics —
-// the accuracy harness behind the float32 inference opt-in
-// (NNSolver.Inference32, NewBatchedSolver32).
-func MeasureInferenceDrift(net *Network, x *tensor.Tensor, batchSize int) (InferenceDrift, error) {
-	return nn.MeasureDrift32(net, x, batchSize)
 }
 
 // MeasureGrowthRate fits the exponential growth of the recorded
@@ -674,13 +492,10 @@ func TheoreticalGrowthRate(cfg Config) float64 {
 	return ts.GrowthRate(k)
 }
 
-// SaveNetwork writes a bare network's architecture and weights to w;
-// LoadNetwork restores it bit-identically. Use SaveSolver for the
-// deployable bundle that also carries the preprocessing contract.
+// SaveNetwork writes a bare network's architecture and weights to w.
+// Use SaveSolver for the deployable bundle that also carries the
+// preprocessing contract.
 func SaveNetwork(net *Network, w io.Writer) error { return nn.Save(net, w) }
-
-// LoadNetwork reads a network saved with SaveNetwork.
-func LoadNetwork(r io.Reader) (*Network, error) { return nn.Load(r) }
 
 // SaveSolver and LoadSolver persist a deployable solver bundle
 // (architecture, weights, normalizer, binning spec).
@@ -691,30 +506,4 @@ func SaveSolver(s *NNSolver, cells int, path string) error {
 // LoadSolver loads a solver bundle saved with SaveSolver.
 func LoadSolver(path string) (*NNSolver, error) {
 	return core.LoadModelFile(path)
-}
-
-// ---------------------------------------------------------------------------
-// Vlasov extension (paper §VII: noise-free training data)
-
-// VlasovConfig configures the 1D1V Vlasov-Poisson solver.
-type VlasovConfig = vlasov.Config
-
-// VlasovInit is the two-stream initial condition for the Vlasov solver.
-type VlasovInit = vlasov.TwoStreamInit
-
-// VlasovSweepOpts configures noise-free corpus generation.
-type VlasovSweepOpts = dataset.VlasovGenerateOpts
-
-// DefaultVlasovConfig returns the paper-box Vlasov configuration.
-func DefaultVlasovConfig() VlasovConfig { return vlasov.Default() }
-
-// NewVlasov builds a Vlasov-Poisson solver with a two-stream initial
-// condition.
-func NewVlasov(cfg VlasovConfig, init VlasovInit) (*vlasov.Solver, error) {
-	return vlasov.New(cfg, init)
-}
-
-// GenerateVlasovDataset runs the noise-free Vlasov sweep (paper §VII).
-func GenerateVlasovDataset(opts VlasovSweepOpts) (*Dataset, error) {
-	return dataset.GenerateVlasov(opts)
 }

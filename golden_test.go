@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -97,25 +99,101 @@ func TestGoldenStateHashes(t *testing.T) {
 	}
 }
 
-func TestGoldenCorpusHash(t *testing.T) {
-	skipUnlessAMD64(t)
+// goldenBase is the configuration the corpus, bundle and campaign pins
+// share.
+func goldenBase() pic.Config {
 	base := pic.Default()
 	base.ParticlesPerCell = 100 // 6400 particles: the binning spans several chunks
+	return base
+}
+
+func goldenCorpus(t *testing.T, workers int) *dataset.Dataset {
+	t.Helper()
+	base := goldenBase()
+	ds, err := dataset.Generate(dataset.GenerateOpts{
+		Base: base, V0s: []float64{0.15, 0.2}, Vths: []float64{0.01},
+		Repeats: 2, Steps: 20, SampleEvery: 2,
+		Spec: phasespace.DefaultSpec(base.Length), Seed: 13, Workers: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+func TestGoldenCorpusHash(t *testing.T) {
+	skipUnlessAMD64(t)
 	const want = "ef9bc2ad7c2b22ae"
 	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{1, 2} {
-			ds, err := dataset.Generate(dataset.GenerateOpts{
-				Base: base, V0s: []float64{0.15, 0.2}, Vths: []float64{0.01},
-				Repeats: 2, Steps: 20, SampleEvery: 2,
-				Spec: phasespace.DefaultSpec(base.Length), Seed: 13, Workers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ds := goldenCorpus(t, workers)
 			if got := hashFloats(ds.Inputs.Data, ds.Targets.Data); got != want {
 				t.Errorf("corpus at GOMAXPROCS=%d Workers=%d: hash %s, want %s", procs, workers, got, want)
 			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestGoldenBundleAndCampaign pins what the state and corpus hashes do
+// not reach: training and bundle serialization (the sha256 of a small
+// MLP fitted on the golden corpus, as SaveSolver writes it) and the
+// campaign arithmetic on top (the digest of 2 scenarios x traditional /
+// oracle / that MLP, journaled).
+func TestGoldenBundleAndCampaign(t *testing.T) {
+	skipUnlessAMD64(t)
+	const (
+		wantBundle = "16385aabb35cfcc2aa72c309dc13c06b5bdf8d368a5a9ed40d1a960cf742e371"
+		wantDigest = "bcfa4245b25fa2b1fd61d613ec3df5c4"
+	)
+	base := goldenBase()
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		ds := goldenCorpus(t, 1)
+		if err := ds.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		solver, _, err := TrainSolver(
+			SolverOpts{Arch: ArchMLP, Hidden: 16, Layers: 2, Seed: 14}, ds, nil,
+			TrainConfig{Epochs: 3, BatchSize: 8, Optimizer: NewAdam(1e-3), Loss: MSELoss(), Seed: 15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "golden.dlpic")
+		if err := SaveSolver(solver, base.Cells, path); err != nil {
+			t.Fatal(err)
+		}
+		bundle, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(bundle)
+		if got := hex.EncodeToString(sum[:]); got != wantBundle {
+			t.Errorf("bundle at GOMAXPROCS=%d: sha256 %s, want %s", procs, got, wantBundle)
+		}
+
+		results, err := RunCampaign(filepath.Join(dir, "golden.jsonl"), CampaignSpec{
+			Scenarios: SweepGrid(base, []float64{0.15, 0.2}, []float64{0.01}, 1, 20, 16),
+			Opts: SweepRunOpts{Workers: 2, Methods: []SweepMethodSpec{
+				{Name: "traditional"},
+				{Name: "oracle", Factory: func(sc SweepScenario) (FieldMethod, error) {
+					return NewOracleSolver(sc.Cfg, DefaultPhaseSpec(sc.Cfg))
+				}},
+				{Name: "mlp", Factory: func(SweepScenario) (FieldMethod, error) {
+					return solver.Clone()
+				}},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := FirstSweepError(results); err != nil {
+			t.Fatal(err)
+		}
+		if got := CampaignDigest(results); got != wantDigest {
+			t.Errorf("campaign at GOMAXPROCS=%d: digest %s, want %s", procs, got, wantDigest)
 		}
 		runtime.GOMAXPROCS(prev)
 	}

@@ -243,7 +243,7 @@ func TestMethodsDLFromPipeline(t *testing.T) {
 // run's physics — fitted growth rate and energy variation — within
 // loose tolerances, while the per-call and batched float32 backends
 // agree with each other bit for bit (the same batch-invariance property
-// the float64 A/B scan pins).
+// TestBatchedSweepMatchesPerCall pins in float64).
 func TestInference32ObservableDrift(t *testing.T) {
 	p := getPipeline(t)
 	sc := sweep.Grid(p.Cfg, []float64{0.2}, []float64{0.025}, 1, 80, 7)

@@ -2,7 +2,7 @@
 // max error of the MLP and CNN on seen and unseen parameters) and
 // Figures 4-6 (two-stream validation against linear theory, energy and
 // momentum conservation, cold-beam stability). cmd/experiments renders
-// the results; the root benchmark suite reuses the same pipeline.
+// the results; tools/bench reuses the same pipeline.
 //
 // Two scales are provided. The scaled configuration (default) preserves
 // the experiment structure — same box, same time step, same sweep axes

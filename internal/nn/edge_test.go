@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -151,6 +152,42 @@ func TestSaveRejectsUnknownLayer(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Save(net, &buf); err == nil {
 		t.Fatal("unknown layer should fail to serialize")
+	}
+}
+
+// TestLoadRejectsHostileHeader: a model file's layer dimensions are
+// outside input. Load must answer a header that does not match its
+// payload with an error before allocating from it — {1<<20, 1<<20}
+// used to take the process down with an out-of-memory fatal error, and
+// {-1, 4} panicked in newDense.
+func TestLoadRejectsHostileHeader(t *testing.T) {
+	cases := []struct {
+		name  string
+		inDim int
+		spec  layerSpec
+	}{
+		{"dense huge", 1 << 20, layerSpec{Kind: "dense", Ints: []int{1 << 20, 1 << 20}}},
+		{"dense negative", 4, layerSpec{Kind: "dense", Ints: []int{-1, 4}}},
+		{"dense overflow", 4, layerSpec{Kind: "dense", Ints: []int{1 << 32, 1 << 32}}},
+		{"dense short payload", 2, layerSpec{Kind: "dense", Ints: []int{2, 2}, W: make([]float64, 3), B: make([]float64, 2)}},
+		{"conv huge", 1 << 32, layerSpec{Kind: "conv2d", Ints: []int{1 << 20, 64, 64, 1 << 20, 3}}},
+		{"conv even kernel", 16, layerSpec{Kind: "conv2d", Ints: []int{1, 4, 4, 1, 2}, W: make([]float64, 4), B: make([]float64, 1)}},
+		{"conv zero channels", 16, layerSpec{Kind: "conv2d", Ints: []int{0, 4, 4, 1, 3}}},
+		{"maxpool odd", 9, layerSpec{Kind: "maxpool2d", Ints: []int{1, 3, 3}}},
+		{"maxpool overflow", 4, layerSpec{Kind: "maxpool2d", Ints: []int{1<<62 + 1, 2, 2}}},
+		{"residual huge", 1 << 20, layerSpec{Kind: "residual", Ints: []int{1 << 20}}},
+		{"residual overflow", 1 << 31, layerSpec{Kind: "residual", Ints: []int{1 << 31}}},
+		{"residual negative", 4, layerSpec{Kind: "residual", Ints: []int{-4}}},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		file := netFile{Version: fileVersion, InDim: c.inDim, Layers: []layerSpec{c.spec}}
+		if err := gob.NewEncoder(&buf).Encode(file); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: Load accepted %v", c.name, c.spec.Ints)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"dlpic/internal/tensor"
@@ -50,16 +51,51 @@ func specOf(l Layer) (layerSpec, error) {
 	}
 }
 
+// sizeOf returns the product of dims, or an error when one of them is
+// not positive or the product overflows int.
+func sizeOf(dims ...int) (int, error) {
+	n := 1
+	for _, d := range dims {
+		if d <= 0 {
+			return 0, fmt.Errorf("nn: dimensions %v must be positive", dims)
+		}
+		if n > math.MaxInt/d {
+			return 0, fmt.Errorf("nn: dimensions %v overflow", dims)
+		}
+		n *= d
+	}
+	return n, nil
+}
+
+// checkPayload rejects a spec whose weight payload is not the product
+// of wDims long, or whose bias payload is not bLen long.
+func checkPayload(s layerSpec, bLen int, wDims ...int) error {
+	wLen, err := sizeOf(wDims...)
+	if err != nil {
+		return err
+	}
+	if len(s.W) != wLen || len(s.B) != bLen {
+		return fmt.Errorf("nn: %s weight payload mismatch", s.Kind)
+	}
+	return nil
+}
+
+// layerOf rebuilds one layer from its spec. The dimensions come from
+// the file, so each is validated — and the weight payload, whose size
+// the bytes actually read bound, is required to match them — before a
+// constructor allocates from them: a hostile header is an error, not a
+// panic or an out-of-memory kill.
 func layerOf(s layerSpec) (Layer, error) {
 	switch s.Kind {
 	case "dense":
 		if len(s.Ints) != 2 {
 			return nil, fmt.Errorf("nn: dense spec wants 2 ints, got %d", len(s.Ints))
 		}
-		d := newDense(s.Ints[0], s.Ints[1])
-		if len(s.W) != d.W.Len() || len(s.B) != d.B.Len() {
-			return nil, fmt.Errorf("nn: dense weight payload mismatch")
+		in, out := s.Ints[0], s.Ints[1]
+		if err := checkPayload(s, out, in, out); err != nil {
+			return nil, err
 		}
+		d := newDense(in, out)
 		copy(d.W.Data, s.W)
 		copy(d.B.Data, s.B)
 		return d, nil
@@ -69,10 +105,21 @@ func layerOf(s layerSpec) (Layer, error) {
 		if len(s.Ints) != 5 {
 			return nil, fmt.Errorf("nn: conv2d spec wants 5 ints, got %d", len(s.Ints))
 		}
-		c := newConv2D(s.Ints[0], s.Ints[1], s.Ints[2], s.Ints[3], s.Ints[4])
-		if len(s.W) != c.Wt.Len() || len(s.B) != c.B.Len() {
-			return nil, fmt.Errorf("nn: conv2d weight payload mismatch")
+		inC, h, w, outC, k := s.Ints[0], s.Ints[1], s.Ints[2], s.Ints[3], s.Ints[4]
+		if k%2 == 0 {
+			return nil, fmt.Errorf("nn: conv2d kernel size %d must be odd", k)
 		}
+		if err := checkPayload(s, outC, outC, inC, k, k); err != nil {
+			return nil, err
+		}
+		// The input and output widths Forward allocates from.
+		if _, err := sizeOf(inC, h, w); err != nil {
+			return nil, err
+		}
+		if _, err := sizeOf(outC, h, w); err != nil {
+			return nil, err
+		}
+		c := newConv2D(inC, h, w, outC, k)
 		copy(c.Wt.Data, s.W)
 		copy(c.B.Data, s.B)
 		return c, nil
@@ -80,17 +127,25 @@ func layerOf(s layerSpec) (Layer, error) {
 		if len(s.Ints) != 3 {
 			return nil, fmt.Errorf("nn: maxpool2d spec wants 3 ints, got %d", len(s.Ints))
 		}
-		return NewMaxPool2D(s.Ints[0], s.Ints[1], s.Ints[2]), nil
+		c, h, w := s.Ints[0], s.Ints[1], s.Ints[2]
+		if _, err := sizeOf(c, h, w); err != nil {
+			return nil, err
+		}
+		if h%2 != 0 || w%2 != 0 {
+			return nil, fmt.Errorf("nn: maxpool2d h=%d w=%d must be even", h, w)
+		}
+		return NewMaxPool2D(c, h, w), nil
 	case "residual":
 		if len(s.Ints) != 1 {
 			return nil, fmt.Errorf("nn: residual spec wants 1 int, got %d", len(s.Ints))
 		}
 		dim := s.Ints[0]
+		// Two dim x dim dense layers, flattened back to back.
+		if err := checkPayload(s, 2*dim, 2, dim, dim); err != nil {
+			return nil, err
+		}
 		b := newResidual(dim)
 		wLen := dim * dim
-		if len(s.W) != 2*wLen || len(s.B) != 2*dim {
-			return nil, fmt.Errorf("nn: residual weight payload mismatch")
-		}
 		copy(b.d1.W.Data, s.W[:wLen])
 		copy(b.d2.W.Data, s.W[wLen:])
 		copy(b.d1.B.Data, s.B[:dim])

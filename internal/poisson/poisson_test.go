@@ -336,49 +336,6 @@ func TestSolveLengthMismatchErrors(t *testing.T) {
 	}
 }
 
-func TestSpectral2DSingleMode(t *testing.T) {
-	nx, ny := 32, 16
-	lx, ly := 2.0, 1.0
-	s, err := NewSpectral2D(nx, ny, lx, ly, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kx := 2 * math.Pi * 2 / lx
-	ky := 2 * math.Pi * 1 / ly
-	rho := make([]float64, nx*ny)
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			x := float64(ix) * lx / float64(nx)
-			y := float64(iy) * ly / float64(ny)
-			rho[iy*nx+ix] = math.Sin(kx*x) * math.Cos(ky*y)
-		}
-	}
-	phi := make([]float64, nx*ny)
-	if err := s.Solve(phi, rho); err != nil {
-		t.Fatal(err)
-	}
-	den := kx*kx + ky*ky
-	for i := range phi {
-		want := rho[i] / den
-		if math.Abs(phi[i]-want) > 1e-11 {
-			t.Fatalf("i=%d: phi=%v want=%v", i, phi[i], want)
-		}
-	}
-}
-
-func TestSpectral2DValidation(t *testing.T) {
-	if _, err := NewSpectral2D(1, 8, 1, 1, 1); err == nil {
-		t.Error("1xN grid should fail")
-	}
-	if _, err := NewSpectral2D(8, 8, 0, 1, 1); err == nil {
-		t.Error("zero length should fail")
-	}
-	s, _ := NewSpectral2D(8, 8, 1, 1, 1)
-	if err := s.Solve(make([]float64, 8), make([]float64, 64)); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
 func BenchmarkSpectralSolve64(b *testing.B) {
 	g := grid.MustNew(64, 2*math.Pi/3.06)
 	s := NewSpectral(g, 1.0)

@@ -1,9 +1,9 @@
 // Package sweep is the concurrent scenario-sweep engine: it fans a set
-// of PIC (or Vlasov) scenario variants across a bounded worker pool,
-// runs each to completion, and collects per-scenario diagnostics plus
-// growth-rate fits. It is the substrate for corpus generation
-// (cmd/datagen), parameter scans (cmd/experiments -scan), journaled
-// campaigns (internal/campaign) and any future batched workload.
+// of PIC scenario variants across a bounded worker pool, runs each to
+// completion, and collects per-scenario diagnostics plus growth-rate
+// fits. It is the substrate for corpus generation (cmd/datagen),
+// parameter scans (cmd/experiments -scan), journaled campaigns
+// (internal/campaign) and any future batched workload.
 //
 // Multi-method sweeps. Options.Methods is a named method registry: each
 // MethodSpec names one field-method backend (traditional, a
@@ -33,7 +33,6 @@ import (
 	"dlpic/internal/pic"
 	"dlpic/internal/rng"
 	"dlpic/internal/theory"
-	"dlpic/internal/vlasov"
 )
 
 // Scenario is one PIC run of a sweep: a named configuration and a step
@@ -178,9 +177,6 @@ type Result struct {
 	Err error
 }
 
-// Failure implements Failer.
-func (r Result) Failure() error { return r.Err }
-
 // Options configures a sweep run.
 type Options struct {
 	// Workers bounds the pool; <= 0 selects GOMAXPROCS.
@@ -202,9 +198,8 @@ type Options struct {
 // Collect runs run(i) for every index of [0, n) on a bounded worker
 // pool and stores the returned values in input order; progress, if
 // non-nil, is called serialized after each completion. It is the shared
-// scheduling plumbing under Run, RunVlasov and the campaign engine: any
-// per-index result type rides the same pool, ordering and progress
-// discipline.
+// scheduling plumbing under Run and the campaign engine: any per-index
+// result type rides the same pool, ordering and progress discipline.
 func Collect[R any](n, workers int, progress func(done, total int), run func(i int) R) []R {
 	results := make([]R, n)
 	var (
@@ -296,40 +291,20 @@ func RunScenario(sc Scenario, m MethodSpec, opts Options) (res Result) {
 		return res
 	}
 	res.TheoryGamma = theoryGamma(sc.Cfg)
-	metrics := analyzeRun(&res.Rec, opts.SkipFit)
-	res.Growth, res.FitOK = metrics.Growth, metrics.FitOK
-	res.EnergyVariation = metrics.EnergyVariation
-	res.MomentumDrift = metrics.MomentumDrift
+	if !opts.SkipFit {
+		res.Growth, res.FitOK = fitGrowth(&res.Rec)
+	}
+	if total, err := res.Rec.Series("total"); err == nil {
+		res.EnergyVariation = diag.MaxRelativeVariation(total)
+	}
+	if mom, err := res.Rec.Series("momentum"); err == nil {
+		res.MomentumDrift = diag.Drift(mom)
+	}
 	if opts.KeepFinalState {
 		res.FinalX = append([]float64(nil), sim.P.X...)
 		res.FinalV = append([]float64(nil), sim.P.V...)
 	}
 	return res
-}
-
-// runMetrics are the post-run diagnostics every scenario family (PIC,
-// Vlasov) extracts from its recorder.
-type runMetrics struct {
-	Growth          diag.GrowthFit
-	FitOK           bool
-	EnergyVariation float64
-	MomentumDrift   float64
-}
-
-// analyzeRun computes the shared growth-fit and conservation metrics of
-// a completed run.
-func analyzeRun(rec *diag.Recorder, skipFit bool) runMetrics {
-	var m runMetrics
-	if !skipFit {
-		m.Growth, m.FitOK = fitGrowth(rec)
-	}
-	if total, err := rec.Series("total"); err == nil {
-		m.EnergyVariation = diag.MaxRelativeVariation(total)
-	}
-	if mom, err := rec.Series("momentum"); err == nil {
-		m.MomentumDrift = diag.Drift(mom)
-	}
-	return m
 }
 
 // fitGrowth fits the exponential growth of the recorded mode amplitude
@@ -359,19 +334,11 @@ func theoryGamma(cfg pic.Config) float64 {
 	return ts.GrowthRate(k)
 }
 
-// Failer is the error accessor every sweep result type implements; the
-// generic error plumbing (FirstError) is shared through it.
-type Failer interface {
-	// Failure returns the per-cell error, or nil on success.
-	Failure() error
-}
-
 // FirstError returns the first per-cell error in a result set, or nil
-// if every cell succeeded. It works for any sweep result family (PIC,
-// Vlasov).
-func FirstError[R Failer](results []R) error {
-	for _, r := range results {
-		if err := r.Failure(); err != nil {
+// if every cell succeeded.
+func FirstError(results []Result) error {
+	for i := range results {
+		if err := results[i].Err; err != nil {
 			return err
 		}
 	}
@@ -402,63 +369,4 @@ func Grid(base pic.Config, v0s, vths []float64, repeats, steps int, seed uint64)
 		}
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Vlasov scenarios
-
-// VlasovScenario is one Vlasov-Poisson run of a sweep.
-type VlasovScenario struct {
-	Name  string
-	Cfg   vlasov.Config
-	Init  vlasov.TwoStreamInit
-	Steps int
-}
-
-// VlasovResult is the outcome of one Vlasov scenario.
-type VlasovResult struct {
-	Scenario        VlasovScenario
-	Rec             diag.Recorder
-	Growth          diag.GrowthFit
-	FitOK           bool
-	EnergyVariation float64
-	Elapsed         time.Duration
-	Err             error
-}
-
-// Failure implements Failer.
-func (r VlasovResult) Failure() error { return r.Err }
-
-// RunVlasov executes Vlasov scenarios on the same bounded pool
-// discipline as Run: results in scenario order, per-scenario errors in
-// the Result. The Vlasov solver has no field-method seam, so
-// Options.Methods is ignored here.
-func RunVlasov(scenarios []VlasovScenario, opts Options) []VlasovResult {
-	return Collect(len(scenarios), opts.Workers, opts.Progress, func(i int) VlasovResult {
-		return runOneVlasov(scenarios[i], opts)
-	})
-}
-
-func runOneVlasov(sc VlasovScenario, opts Options) (res VlasovResult) {
-	res = VlasovResult{Scenario: sc}
-	//determlint:ignore nondet Elapsed is wall-clock telemetry only; no digest or journal key folds it in
-	start := time.Now()
-	defer func() { res.Elapsed = time.Since(start) }() //determlint:ignore nondet Elapsed is telemetry, excluded from digests
-	if sc.Steps < 1 {
-		res.Err = fmt.Errorf("sweep: vlasov scenario %q: Steps = %d, need >= 1", sc.Name, sc.Steps)
-		return res
-	}
-	solver, err := vlasov.New(sc.Cfg, sc.Init)
-	if err != nil {
-		res.Err = fmt.Errorf("sweep: vlasov scenario %q: %w", sc.Name, err)
-		return res
-	}
-	if err := solver.Run(sc.Steps, &res.Rec); err != nil {
-		res.Err = fmt.Errorf("sweep: vlasov scenario %q: %w", sc.Name, err)
-		return res
-	}
-	metrics := analyzeRun(&res.Rec, opts.SkipFit)
-	res.Growth, res.FitOK = metrics.Growth, metrics.FitOK
-	res.EnergyVariation = metrics.EnergyVariation
-	return res
 }

@@ -7,7 +7,6 @@ import (
 	"dlpic/internal/diag"
 	"dlpic/internal/grid"
 	"dlpic/internal/pic"
-	"dlpic/internal/vlasov"
 )
 
 // tinyBase returns a seconds-scale configuration for sweep tests.
@@ -194,30 +193,6 @@ func TestMethodFactoryCalledPerScenario(t *testing.T) {
 	}
 	if len(built) != len(scs) {
 		t.Fatalf("factory called %d times, want %d", len(built), len(scs))
-	}
-}
-
-func TestRunVlasovSweep(t *testing.T) {
-	cfg := vlasov.Default()
-	cfg.NX, cfg.NV = 32, 32
-	scs := []VlasovScenario{
-		{Name: "v0=0.2", Cfg: cfg, Init: vlasov.TwoStreamInit{V0: 0.2, Vth: 0.05, Amp: 1e-3, Mode: 1}, Steps: 20},
-		{Name: "v0=0.3", Cfg: cfg, Init: vlasov.TwoStreamInit{V0: 0.3, Vth: 0.05, Amp: 1e-3, Mode: 1}, Steps: 20},
-	}
-	ref := RunVlasov(scs, Options{Workers: 1, SkipFit: true})
-	got := RunVlasov(scs, Options{Workers: 2, SkipFit: true})
-	for i := range scs {
-		if ref[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("vlasov scenario %d: %v / %v", i, ref[i].Err, got[i].Err)
-		}
-		if len(ref[i].Rec.Samples) != 20 {
-			t.Fatalf("vlasov scenario %d: %d samples, want 20", i, len(ref[i].Rec.Samples))
-		}
-		for j := range ref[i].Rec.Samples {
-			if ref[i].Rec.Samples[j] != got[i].Rec.Samples[j] {
-				t.Fatalf("vlasov scenario %d sample %d differs across worker counts", i, j)
-			}
-		}
 	}
 }
 

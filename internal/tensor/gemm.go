@@ -83,7 +83,7 @@ const (
 
 // packPool recycles packed-operand scratch across GEMM calls so the
 // steady-state kernel allocates nothing (asserted by the pack-pooling
-// test and the benchmark suite's allocs/op).
+// test).
 var packPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // getPack leases a scratch buffer of at least n elements. The returned

@@ -9,8 +9,7 @@ package tensor
 // chain continues from dst's current value), while NT and TT build a
 // local sum from zero and fold it into dst once. The property tests
 // diff the tiled kernels against these loops across shapes, transposes,
-// acc and GOMAXPROCS; the benchmark suite uses them as the untiled
-// baseline for structural speedup ratios.
+// acc and GOMAXPROCS.
 
 // MatMulRef computes dst = op(a) * op(b) with the serial reference
 // loops (same shape/alias validation as MatMul).
