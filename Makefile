@@ -12,13 +12,14 @@ build:
 test:
 	$(GO) test ./...
 
-# test-cpu reruns the kernel determinism and property tests of the two
+# test-cpu reruns the kernel determinism and property tests of the
 # packages whose particle loops sit directly on internal/parallel's
-# worker team with the process started at 1, 2 and 4 processors, so the
-# team's size at start-up varies as well as the GOMAXPROCS the tests
-# switch to themselves.
+# worker team (gather/deposit, binning, the kick's chunked sums), plus
+# internal/pic's whole-step bit-identity check, with the process started
+# at 1, 2 and 4 processors, so the team's size at start-up varies as
+# well as the GOMAXPROCS the tests switch to themselves.
 test-cpu:
-	$(GO) test -cpu 1,2,4 ./internal/interp ./internal/phasespace
+	$(GO) test -cpu 1,2,4 ./internal/interp ./internal/phasespace ./internal/mover ./internal/pic
 
 vet:
 	$(GO) vet ./...

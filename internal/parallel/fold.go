@@ -155,39 +155,3 @@ func (f *OrderedFold) Folded() int {
 	defer f.mu.Unlock()
 	return f.next
 }
-
-// ScatterReduceBlocked is ScatterReduce with the final chunk-order
-// reduction parallelized over disjoint blocks of out: each element
-// still sums its per-chunk partials in ascending chunk order, so the
-// result is bit-identical to ScatterReduce (and therefore to the serial
-// path) at every GOMAXPROCS — only the ownership of output elements is
-// split. Worth it when len(out) is large enough that the serial
-// k*len(out) reduction shows up next to the scatter itself, e.g. the 2D
-// deposit's row-major grids.
-func ScatterReduceBlocked(n int, out []float64, body func(acc []float64, start, end int)) {
-	for i := range out {
-		out[i] = 0
-	}
-	if n <= 0 {
-		return
-	}
-	width := len(out)
-	k := NumChunks(n)
-	if k == 1 || width == 0 {
-		body(out, 0, n)
-		return
-	}
-	p := getScratch(k * width)
-	buf := *p
-	runChunks(job{kind: scatterJob, n: n, k: k, accBody: body, out: out, buf: buf})
-	ForThreshold(width, 2048, func(js, je int) {
-		for c := 0; c < k; c++ {
-			row := buf[c*width+js : c*width+je]
-			o := out[js:je]
-			for i, v := range row {
-				o[i] += v
-			}
-		}
-	})
-	scratchPool.Put(p)
-}

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -131,52 +130,5 @@ func TestOrderedFoldReusesBuffersAcrossRounds(t *testing.T) {
 				t.Fatalf("round %d: out[%d] = %v, want 6", round, i, out[i])
 			}
 		}
-	}
-}
-
-// ScatterReduceBlocked must be bit-identical to ScatterReduce at every
-// GOMAXPROCS: the blocked reduction only changes element ownership.
-func TestScatterReduceBlockedMatchesScatterReduce(t *testing.T) {
-	const n, width = 10_000, 4096
-	vals := make([]float64, n)
-	r := rand.New(rand.NewSource(7))
-	for i := range vals {
-		vals[i] = r.NormFloat64()
-	}
-	body := func(acc []float64, start, end int) {
-		for p := start; p < end; p++ {
-			acc[p%width] += vals[p]
-			acc[(p*7)%width] += 0.5 * vals[p]
-		}
-	}
-	want := make([]float64, width)
-	ScatterReduce(n, want, body)
-	for _, procs := range []int{1, 2, 8} {
-		old := runtime.GOMAXPROCS(procs)
-		got := make([]float64, width)
-		ScatterReduceBlocked(n, got, body)
-		runtime.GOMAXPROCS(old)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("GOMAXPROCS=%d: element %d = %v, want %v", procs, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestScatterReduceBlockedSmall(t *testing.T) {
-	// Single-chunk and empty paths.
-	out := []float64{3, 3}
-	ScatterReduceBlocked(0, out, func(acc []float64, s, e int) { t.Fatal("body called for n=0") })
-	if out[0] != 0 || out[1] != 0 {
-		t.Fatalf("n=0 should zero out, got %v", out)
-	}
-	ScatterReduceBlocked(5, out, func(acc []float64, s, e int) {
-		for p := s; p < e; p++ {
-			acc[p%2]++
-		}
-	})
-	if out[0] != 3 || out[1] != 2 {
-		t.Fatalf("single-chunk blocked reduce = %v", out)
 	}
 }

@@ -36,6 +36,11 @@
 //     already claimed, yielding the processor while it does. A helper
 //     that is parked, descheduled or starved makes a loop slower; it
 //     cannot make it hang, because the caller can run every index alone.
+//     The caller takes indices from the front, helpers from the back, so
+//     at two workers each core runs the same end of every loop: the
+//     particles it gathered the field for are the ones it kicks, drifts
+//     and deposits next, still in its own L2. Which worker runs an index
+//     never changes what the index computes.
 //  2. One job at a time. The team is taken with TryLock. A caller that
 //     finds it taken — a second goroutine's loop, or a loop started from
 //     inside a body — runs its own loop inline on its own goroutine.
@@ -86,12 +91,11 @@ func maxWorkers() int {
 	if poolDepth.Load() > 0 {
 		return 1
 	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return teamSize(runtime.GOMAXPROCS(0))
 }
+
+// teamSize caps a worker count at what the team's state word can admit.
+func teamSize(procs int) int { return min(procs, maxHelpers+1) }
 
 // For splits the half-open index range [0, n) into one contiguous piece
 // per worker and runs body(start, end) for each piece, on the calling
@@ -185,8 +189,8 @@ func chunkBounds(n, k, c int) (start, end int) {
 }
 
 // ForChunks runs body(chunk, start, end) for every chunk of [0, n), the
-// calling goroutine and the team's helpers pulling chunks from a shared
-// counter. The decomposition depends only on n, so the set of
+// calling goroutine taking chunks from the front and the team's helpers
+// from the back. The decomposition depends only on n, so the set of
 // (chunk, start, end) calls is identical at every GOMAXPROCS. It
 // returns the chunk count so callers can reduce per-chunk partials in
 // chunk order.
@@ -275,7 +279,7 @@ func ScatterReduce(n int, out []float64, body func(acc []float64, start, end int
 // partial counts are added — the accumulator per chunk and the
 // chunk-order reduction ScatterReduce pays for buy nothing here.
 // ScatterCount keeps one accumulator per worker instead: the workers
-// pull chunks of [0, n) from a shared counter, the caller counts straight
+// split the chunks of [0, n) between them, the caller counts straight
 // into out and every helper into one private buffer that is added to out
 // afterwards. When the loop runs inline — one processor, a single chunk,
 // a busy team, or inside a ForPool — the whole range counts into out

@@ -91,19 +91,16 @@ type team struct {
 	mu      sync.Mutex
 	helpers []*helper // grown under mu, never shrunk
 
-	// job and count describe the open job. They are written under mu
-	// while state is zero and no helper is active, and read by a helper
-	// only after a successful claim.
-	job   job
-	count int
+	// job describes the open job. It is written under mu while state is
+	// zero and no helper is active, and read by a helper only after a
+	// successful claim.
+	job job
 
 	// state admits helpers to the open job and hands out its indices in
-	// one word: the number of admitted helpers in the high half, the
-	// number of unclaimed indices in the low half. A claim is a
-	// compare-and-swap of the whole word, so it succeeds only against the
-	// job whose admission it checked; zero means nothing to take. Idle
-	// helpers spin on it, so it and active each get a cache line to
-	// themselves: publishing a job or bumping a counter does not
+	// one word (see stateWord). A claim is a compare-and-swap of the
+	// whole word, so it succeeds only against the job whose admission it
+	// checked. Idle helpers spin on it, so it and active each get a cache
+	// line to themselves: publishing a job or bumping a counter does not
 	// invalidate the line the helpers are watching.
 	_     [cacheLine]byte
 	state atomic.Uint64
@@ -146,9 +143,9 @@ func (t *team) run(j job, count, workers int) {
 		t.helpers = append(t.helpers, h)
 		go h.loop(t)
 	}
-	t.job, t.count = j, count
+	t.job = j
 	t.dispatches.Add(1)
-	t.state.Store(uint64(helpers)<<32 | uint64(count))
+	t.state.Store(stateWord(0, count, helpers))
 	for _, h := range t.helpers[:helpers] {
 		if h.parked.Load() {
 			select {
@@ -173,7 +170,7 @@ func (t *team) run(j job, count, workers int) {
 // the caller, so a helper that is parked or descheduled delays a job but
 // cannot hang it.
 func (t *team) finish() {
-	t.state.Store(0) // already zero unless a body panicked: stop further claims
+	t.state.Store(0) // nothing is left unless a body panicked: stop further claims
 	for spin := 1; t.active.Load() != 0; spin++ {
 		if spin%spinLoads == 0 {
 			runtime.Gosched()
@@ -183,23 +180,50 @@ func (t *team) finish() {
 	t.mu.Unlock()
 }
 
-// claim takes one unclaimed index of the open job for helper id, or for
-// the caller when id is -1.
-func (t *team) claim(id int) (i int, ok bool) {
+// claim takes one unclaimed index of the open job: the lowest for the
+// caller (id -1), the highest for helper id.
+func (t *team) claim(id int) (int, bool) {
 	for {
 		v := t.state.Load()
 		if !admits(v, id) {
 			return 0, false
 		}
-		if t.state.CompareAndSwap(v, v-1) {
-			return t.count - int(uint32(v)), true
+		lo, hi, _ := window(v)
+		i, next := lo, v+1 // the caller raises lo
+		if id >= 0 {
+			i, next = hi-1, v-1<<indexBits // a helper lowers hi
+		}
+		if t.state.CompareAndSwap(v, next) {
+			return i, true
 		}
 	}
 }
 
+// The state word holds lo and hi in indexBits each, low bits first, and
+// the admitted-helper count in the top 16 bits. A claim moves lo up or
+// hi down only while lo < hi, so it never carries across a field. A
+// chunk job has at most chunkMax indices, a range job one per worker,
+// and teamSize caps the workers at maxHelpers+1: every job fits.
+const (
+	indexBits  = 24
+	indexMask  = 1<<indexBits - 1
+	maxHelpers = 1<<(64-2*indexBits) - 1
+)
+
+// stateWord packs a job's unclaimed window [lo, hi) and admitted helpers.
+func stateWord(lo, hi, helpers int) uint64 {
+	return uint64(helpers)<<(2*indexBits) | uint64(hi)<<indexBits | uint64(lo)
+}
+
+// window unpacks state word v.
+func window(v uint64) (lo, hi, helpers int) {
+	return int(v & indexMask), int(v >> indexBits & indexMask), int(v >> (2 * indexBits))
+}
+
 // admits reports whether state word v has an index helper id may take.
 func admits(v uint64, id int) bool {
-	return uint32(v) != 0 && id < int(v>>32)
+	lo, hi, helpers := window(v)
+	return lo < hi && id < helpers
 }
 
 // loop is the helper's life: wait for claimable work, drain it, repeat.

@@ -243,6 +243,107 @@ func TestCallerCompletesWhenHelpersAreStarved(t *testing.T) {
 	})
 }
 
+// claimOrder runs a job of count indices on the team at two workers and
+// returns the indices the caller and the helper ran, each in the order
+// it ran them. It is a count job with one index per chunk, so the
+// accumulator a body gets names its worker. The caller's first index
+// waits for the helper to take one, so the helper is sure to take part.
+func claimOrder(count int) (caller, helper []int) {
+	out, buf := []float64{0}, []float64{0}
+	var helperRan atomic.Bool
+	body := func(acc []float64, start, _ int) {
+		if &acc[0] != &out[0] {
+			helper = append(helper, start)
+			helperRan.Store(true)
+			return
+		}
+		caller = append(caller, start)
+		for deadline := time.Now().Add(10 * time.Second); len(caller) == 1 && !helperRan.Load() && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
+	crew.mu.Lock()
+	crew.run(job{kind: countJob, n: count, k: count, accBody: body, out: out, buf: buf}, count, 2)
+	return caller, helper
+}
+
+// The caller takes a job's indices from the front and the helper from
+// the back, so across the stages of a PIC step each core keeps running
+// the same particles. Checked for a full chunk count and for the two
+// pieces For cuts at two workers.
+func TestClaimOrderCallerFrontHelperBack(t *testing.T) {
+	withGOMAXPROCS(t, 2, func() {
+		for _, count := range []int{chunkMax, 2} {
+			joins := TeamStats().Joins
+			caller, helper := claimOrder(count)
+			ran := make([]int, count)
+			for _, i := range append(append([]int(nil), caller...), helper...) {
+				ran[i]++
+			}
+			for i, r := range ran {
+				if r != 1 {
+					t.Fatalf("count %d: index %d ran %d times (caller %v, helper %v)", count, i, r, caller, helper)
+				}
+			}
+			for want, i := range caller {
+				if i != want {
+					t.Fatalf("count %d: caller ran %v, want 0 up to %d", count, caller, len(caller)-1)
+				}
+			}
+			if len(helper) == 0 {
+				t.Fatalf("count %d: the helper ran nothing", count)
+			}
+			for j, i := range helper {
+				if i != count-1-j {
+					t.Fatalf("count %d: helper ran %v, want %d down to %d", count, helper, count-1, len(caller))
+				}
+			}
+			// A helper's join is counted once it leaves the job, which may
+			// be just after run returns.
+			for deadline := time.Now().Add(10 * time.Second); TeamStats().Joins == joins; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("count %d: TeamStats().Joins did not rise", count)
+				}
+			}
+		}
+	})
+}
+
+// The largest job the primitives can publish fits the state word, and
+// claims from both ends stay inside their fields there.
+func TestStateWordAtTheBound(t *testing.T) {
+	for _, procs := range []int{maxHelpers + 1, maxHelpers + 2, 1 << 30} {
+		if got := teamSize(procs); got != maxHelpers+1 {
+			t.Fatalf("teamSize(%d) = %d, want %d", procs, got, maxHelpers+1)
+		}
+	}
+	if maxHelpers+1 > indexMask || chunkMax > indexMask {
+		t.Fatalf("a job of %d range pieces or %d chunks overflows a %d-bit index", maxHelpers+1, chunkMax, indexBits)
+	}
+	var tm team
+	tm.state.Store(stateWord(0, indexMask, maxHelpers))
+	if i, ok := tm.claim(-1); !ok || i != 0 {
+		t.Fatalf("caller claimed %d, %v; want 0", i, ok)
+	}
+	if i, ok := tm.claim(maxHelpers - 1); !ok || i != indexMask-1 {
+		t.Fatalf("last helper claimed %d, %v; want %d", i, ok, indexMask-1)
+	}
+	if _, ok := tm.claim(maxHelpers); ok {
+		t.Fatal("a helper beyond the admitted count claimed an index")
+	}
+	if lo, hi, helpers := window(tm.state.Load()); lo != 1 || hi != indexMask-1 || helpers != maxHelpers {
+		t.Fatalf("window after two claims = [%d, %d) with %d helpers, want [1, %d) with %d", lo, hi, helpers, indexMask-1, maxHelpers)
+	}
+	// The last index goes to one side only.
+	tm.state.Store(stateWord(indexMask-1, indexMask, maxHelpers))
+	if i, ok := tm.claim(0); !ok || i != indexMask-1 {
+		t.Fatalf("helper claimed %d, %v; want %d", i, ok, indexMask-1)
+	}
+	if _, ok := tm.claim(-1); ok {
+		t.Fatal("the caller claimed from an empty window")
+	}
+}
+
 // mallocsPerRun is testing.AllocsPerRun without its runtime.GOMAXPROCS(1),
 // under which every loop is inline and the team is never measured: one
 // warm-up call, then the process's malloc count across runs calls,
