@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cpu vet lint race race-train race-parallel bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
+.PHONY: all build test test-cpu test-purego vet lint race race-train race-parallel bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
 
 all: ci
 
@@ -13,13 +13,22 @@ test:
 	$(GO) test ./...
 
 # test-cpu reruns the kernel determinism and property tests of the
-# packages whose particle loops sit directly on internal/parallel's
-# worker team (gather/deposit, binning, the kick's chunked sums), plus
-# internal/pic's whole-step bit-identity check, with the process started
-# at 1, 2 and 4 processors, so the team's size at start-up varies as
-# well as the GOMAXPROCS the tests switch to themselves.
+# packages whose loops sit directly on internal/parallel's worker team
+# (gather/deposit, binning, the kick's chunked sums, the row-parallel
+# GEMMs), internal/pic's whole-step bit-identity check, and
+# internal/nn's optimizer-step check against the serial element loops,
+# with the process started at 1, 2 and 4 processors, so the team's size
+# at start-up varies as well as the GOMAXPROCS the tests switch to
+# themselves.
 test-cpu:
-	$(GO) test -cpu 1,2,4 ./internal/interp ./internal/phasespace ./internal/mover ./internal/pic
+	$(GO) test -cpu 1,2,4 ./internal/interp ./internal/phasespace ./internal/mover ./internal/pic ./internal/tensor
+	$(GO) test -cpu 1,2,4 -run 'OptimizerStep' ./internal/nn
+
+# test-purego runs the GEMM, training and golden-hash suites with the
+# purego build tag, which replaces internal/tensor's AVX row update with
+# its Go loops: the pinned hashes must hold on both paths.
+test-purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn .
 
 vet:
 	$(GO) vet ./...

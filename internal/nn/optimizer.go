@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dlpic/internal/parallel"
 	"dlpic/internal/tensor"
 )
 
@@ -50,10 +51,13 @@ func (m *Momentum) Step(params []*Param) {
 			v = tensor.New(p.W.Shape...)
 			m.vel[p.W] = v
 		}
-		for i := range v.Data {
-			v.Data[i] = m.Mu*v.Data[i] + p.G.Data[i]
-			p.W.Data[i] -= m.LR * v.Data[i]
-		}
+		vel, w, g := v.Data, p.W.Data, p.G.Data
+		parallel.For(len(vel), func(s, e int) {
+			for i := s; i < e; i++ {
+				vel[i] = m.Mu*vel[i] + g[i]
+				w[i] -= m.LR * vel[i]
+			}
+		})
 	}
 }
 
@@ -94,15 +98,17 @@ func (a *Adam) Step(params []*Param) {
 			a.m[p.W] = m
 			a.v[p.W] = tensor.New(p.W.Shape...)
 		}
-		v := a.v[p.W]
-		for i := range p.W.Data {
-			g := p.G.Data[i]
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
-			mHat := m.Data[i] / b1c
-			vHat := v.Data[i] / b2c
-			p.W.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+		md, vd, w, gd := m.Data, a.v[p.W].Data, p.W.Data, p.G.Data
+		parallel.For(len(w), func(s, e int) {
+			for i := s; i < e; i++ {
+				g := gd[i]
+				md[i] = a.Beta1*md[i] + (1-a.Beta1)*g
+				vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*g*g
+				mHat := md[i] / b1c
+				vHat := vd[i] / b2c
+				w[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+			}
+		})
 	}
 }
 

@@ -89,6 +89,8 @@ func LoadCheckpoint(r io.Reader, method FieldMethod) (*Simulation, error) {
 		if err != nil {
 			return nil, err
 		}
+	} else if err := checkMethodOptions(f.Cfg, method); err != nil {
+		return nil, err
 	}
 	sim := &Simulation{
 		Cfg: f.Cfg,

@@ -187,10 +187,34 @@ type Simulation struct {
 	rng      *rng.Source
 }
 
+// errTraditionalOnly marks a Config option that only the traditional
+// field method honours, set for another method.
+var errTraditionalOnly = errors.New("option applies to the traditional field method only")
+
+// checkMethodOptions refuses the Config options a non-traditional field
+// method would silently ignore. Only TraditionalField solves Poisson's
+// equation, so only it reads Solver, and only it writes the potential
+// Phi that the energy-conserving gather differences: with any other
+// method that gather reads zeros and the particles free-stream.
+func checkMethodOptions(cfg Config, method FieldMethod) error {
+	if _, ok := method.(*TraditionalField); ok {
+		return nil
+	}
+	switch {
+	case cfg.EnergyConserving:
+		return fmt.Errorf("pic: EnergyConserving with the %s method: %w", method.Name(), errTraditionalOnly)
+	case cfg.Solver != "" && cfg.Solver != "spectral":
+		return fmt.Errorf("pic: Solver %q with the %s method: %w", cfg.Solver, method.Name(), errTraditionalOnly)
+	}
+	return nil
+}
+
 // New builds a simulation with the given field method (nil selects the
 // traditional deposit+Poisson method), loads the two-stream population
 // and computes the initial self-consistent field, then de-staggers the
-// leapfrog velocities by half a step.
+// leapfrog velocities by half a step. EnergyConserving and a
+// non-default Solver are refused with any method but the traditional
+// one.
 func New(cfg Config, method FieldMethod) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -204,6 +228,8 @@ func New(cfg Config, method FieldMethod) (*Simulation, error) {
 		if err != nil {
 			return nil, err
 		}
+	} else if err := checkMethodOptions(cfg, method); err != nil {
+		return nil, err
 	}
 	r := rng.New(cfg.Seed)
 	q := cfg.MacroCharge()

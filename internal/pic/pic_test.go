@@ -1,10 +1,12 @@
 package pic
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"dlpic/internal/diag"
+	"dlpic/internal/grid"
 	"dlpic/internal/interp"
 	"dlpic/internal/theory"
 )
@@ -75,6 +77,57 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	cfg.Solver = "multigrid"
 	if _, err := New(cfg, nil); err == nil {
 		t.Fatal("expected error for unknown solver")
+	}
+}
+
+// zeroField is a non-traditional field method: it writes E = 0 and
+// never touches Rho or Phi.
+type zeroField struct{}
+
+func (zeroField) ComputeField(_ *Simulation, e []float64) error {
+	clear(e)
+	return nil
+}
+
+func (zeroField) Name() string { return "zero" }
+
+// TestNewRefusesTraditionalOnlyOptions pins that EnergyConserving and a
+// non-default Solver are refused with a method that would ignore them,
+// and still accepted with the traditional method, built in or explicit.
+func TestNewRefusesTraditionalOnlyOptions(t *testing.T) {
+	for _, opt := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"energy-conserving", func(c *Config) { c.EnergyConserving = true }},
+		{"solver cg", func(c *Config) { c.Solver = "cg" }},
+	} {
+		cfg := fastConfig()
+		opt.mutate(&cfg)
+		if _, err := New(cfg, zeroField{}); !errors.Is(err, errTraditionalOnly) {
+			t.Fatalf("%s with a non-traditional method: got %v, want errTraditionalOnly", opt.name, err)
+		}
+		if _, err := New(cfg, nil); err != nil {
+			t.Fatalf("%s with the built-in traditional method: %v", opt.name, err)
+		}
+		g, err := grid.New(cfg.Cells, cfg.Length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf, err := NewTraditionalField(cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(cfg, tf); err != nil {
+			t.Fatalf("%s with an explicit traditional method: %v", opt.name, err)
+		}
+	}
+	for _, solver := range []string{"", "spectral"} {
+		cfg := fastConfig()
+		cfg.Solver = solver
+		if _, err := New(cfg, zeroField{}); err != nil {
+			t.Fatalf("default solver %q with a non-traditional method: %v", solver, err)
+		}
 	}
 }
 

@@ -50,6 +50,15 @@ import (
 // from L3 once per row block. NT has no zero-skip (its reference
 // builds local dot products over contiguous rows of both operands), so
 // it keeps a branch-free 2x4 register tile.
+//
+// The row update itself — d[j] += v*b[j] over one dst row, or its
+// two-k-step form — is axpy1/axpy2 (axpy.go). On amd64 CPUs with AVX
+// (CPUID and XGETBV checked once at init) it runs in assembly, four
+// doubles per instruction, with a separately rounded multiply and add
+// per element: the IEEE operations the scalar Go loop performs, so the
+// chain above is unchanged. It must never become an FMA, which rounds
+// once and would move every digest. Elsewhere, and under the purego
+// build tag, the Go loops run.
 
 const (
 	// gemmMR x gemmNR is the NT register tile: each micro-kernel call
@@ -144,18 +153,11 @@ func nnKernel(dstData, aData, bData []float64, m, kk, n int, acc bool) {
 						di := dstData[i*n : i*n+n]
 						switch {
 						case v0 != 0 && v1 != 0:
-							for j, bv := range bk0 {
-								s := di[j] + v0*bv
-								di[j] = s + v1*bk1[j]
-							}
+							axpy2(di, bk0, bk1, v0, v1)
 						case v0 != 0:
-							for j, bv := range bk0 {
-								di[j] += v0 * bv
-							}
+							axpy1(di, bk0, v0)
 						default:
-							for j, bv := range bk1 {
-								di[j] += v1 * bv
-							}
+							axpy1(di, bk1, v1)
 						}
 					}
 				}
@@ -163,10 +165,7 @@ func nnKernel(dstData, aData, bData []float64, m, kk, n int, acc bool) {
 					bk := bData[k*n : k*n+n]
 					for i := ib; i < im; i++ {
 						if v := aData[i*kk+k]; v != 0 {
-							di := dstData[i*n : i*n+n]
-							for j, bv := range bk {
-								di[j] += v * bv
-							}
+							axpy1(dstData[i*n:i*n+n], bk, v)
 						}
 					}
 				}

@@ -63,8 +63,16 @@ func diffBits(got, want []float64) int {
 // TestMatMulTiledBitEqualsReference is the tiling contract: for every
 // shape x transpose x acc combination, at several GOMAXPROCS settings,
 // the tiled kernels must agree with the serial reference loops bit for
-// bit on every element.
+// bit on every element — once with the Go row updates and, where the
+// CPU has AVX, once with the assembly ones.
 func TestMatMulTiledBitEqualsReference(t *testing.T) {
+	for _, asm := range asmModes() {
+		withAsm(asm, func() { checkTiledBitEqualsReference(t, asm) })
+	}
+}
+
+func checkTiledBitEqualsReference(t *testing.T, asm bool) {
+	t.Helper()
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	r := rng.New(42)
@@ -94,8 +102,8 @@ func TestMatMulTiledBitEqualsReference(t *testing.T) {
 							MatMulRef(want, a, b, transA, transB)
 						}
 						if i := diffBits(got.Data, want.Data); i >= 0 {
-							t.Fatalf("procs=%d m=%d k=%d n=%d transA=%v transB=%v acc=%v: element %d tiled=%x ref=%x",
-								procs, sh.m, sh.k, sh.n, transA, transB, acc,
+							t.Fatalf("asm=%v procs=%d m=%d k=%d n=%d transA=%v transB=%v acc=%v: element %d tiled=%x ref=%x",
+								asm, procs, sh.m, sh.k, sh.n, transA, transB, acc,
 								i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 						}
 					}

@@ -151,9 +151,7 @@ func Add(dst, a, b *Tensor) {
 // AddScaled computes dst += alpha * src.
 func AddScaled(dst *Tensor, alpha float64, src *Tensor) {
 	checkSameLen("AddScaled", dst, src)
-	for i := range dst.Data {
-		dst.Data[i] += alpha * src.Data[i]
-	}
+	axpy1(dst.Data, src.Data, alpha)
 }
 
 // Scale multiplies the tensor by alpha in place.

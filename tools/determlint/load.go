@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -168,8 +169,11 @@ func (t *tree) ImportFrom(path, dir string, mode types.ImportMode) (*types.Packa
 	return p.pkg, nil
 }
 
-// parseDir parses the non-test Go files of one directory in name
-// order (os.ReadDir sorts, so package loading is deterministic).
+// parseDir parses the non-test Go files of one directory that the
+// default build of this platform compiles — file-name GOOS/GOARCH
+// suffixes and //go:build lines are honoured, so a package's per-
+// architecture variants do not collide — in name order (os.ReadDir
+// sorts, so package loading is deterministic).
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -179,6 +183,11 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
