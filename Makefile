@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cpu test-purego vet lint race race-train race-parallel bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
+.PHONY: all build test test-cpu test-purego fuzz-smoke vet lint race race-train race-parallel bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
 
 all: ci
 
@@ -29,6 +29,11 @@ test-cpu:
 # its Go loops: the pinned hashes must hold on both paths.
 test-purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/nn .
+
+# fuzz-smoke runs the repository's fuzz target, FuzzAxpy (the AVX GEMM
+# row update against its Go loops, bit for bit), for a bounded 10 s.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzAxpy -fuzztime 10s ./internal/tensor
 
 vet:
 	$(GO) vet ./...

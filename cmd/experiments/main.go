@@ -22,8 +22,8 @@
 // re-running only the missing cells and reproducing the uninterrupted
 // results bit-identically (the printed campaign digest matches).
 // -batched routes the DL methods' field solves through one shared
-// batched-inference server, bit-identical to the per-call path; it,
-// -batch and -f32 are rejected when -methods names no DL method.
+// batched-inference server, bit-identical to the per-call path; it and
+// -batch are rejected when -methods names no DL method.
 //
 // -coordinator ADDR hosts the scan as a distributed campaign: instead
 // of the local sweep pool, a coordinator hub listens on ADDR and
@@ -82,7 +82,6 @@ func main() {
 		bundles = flag.String("bundle-dir", "", "persist and reuse trained model bundles + epoch-granular training checkpoints in this directory, keyed by training fingerprint (default: <journal>.artifacts when -journal/-resume is set; DL methods then resume mid-training and a completed campaign resumes with zero training epochs)")
 		batched = flag.Bool("batched", false, "route the scan's DL field solves (-methods mlp, cnn) through the shared batched-inference server; results are bit-identical to the per-call path")
 		batchN  = flag.Int("batch", 0, "batched-inference flush cap (0 = default)")
-		f32     = flag.Bool("f32", false, "run DL field solves in float32 (converted weights, ~half the inference memory traffic); dense stacks (mlp) only — results drift within the nn.MeasureDrift32 bounds, so digests only reproduce against other -f32 runs")
 		coord   = flag.String("coordinator", "", "host the -scan campaign's coordinator at this address (host:port) and execute on dlpicworker fleets instead of the local pool (needs -journal or -resume)")
 		trainP  = flag.Bool("train-pipeline", false, "overlap minibatch gathers with optimizer steps during training; trained weights are bit-identical with or without it")
 	)
@@ -101,7 +100,7 @@ func main() {
 			methods: *methods, batched: *batched, batchN: *batchN,
 			journal: *journal, resume: *resume, bundleDir: *bundles,
 			paper: *paper, load: *load, trainWorkers: *trainW,
-			trainPipeline: *trainP, f32: *f32, coordinator: *coord,
+			trainPipeline: *trainP, coordinator: *coord,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -113,7 +112,7 @@ func main() {
 			return
 		}
 	}
-	if err := run(*paper, *tiny, *seed, *outdir, *skipCNN, *table1, *fig4, *fig5, *fig6, *oracle, *steps, *load, *trainW, *trainP, *f32); err != nil {
+	if err := run(*paper, *tiny, *seed, *outdir, *skipCNN, *table1, *fig4, *fig5, *fig6, *oracle, *steps, *load, *trainW, *trainP); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -135,7 +134,6 @@ type scanArgs struct {
 	load            string
 	trainWorkers    int
 	trainPipeline   bool
-	f32             bool
 	coordinator     string
 }
 
@@ -163,8 +161,8 @@ func runMethodScan(a scanArgs) error {
 		if a.journal == "" && a.resume == "" {
 			return errors.New("-coordinator needs -journal or -resume (the coordinator is the journal's only writer)")
 		}
-		if a.batched || a.f32 {
-			return errors.New("-coordinator executes cells on workers per-call in float64; drop -batched/-f32")
+		if a.batched {
+			return errors.New("-coordinator executes cells on workers per-call; drop -batched")
 		}
 		if a.load != "" {
 			return errors.New("-coordinator ships fingerprint-keyed bundles; -load-models bypasses the bundle store (use -bundle-dir instead)")
@@ -205,9 +203,9 @@ func runMethodScan(a scanArgs) error {
 		// written there (same rule as the other campaign flags).
 		return fmt.Errorf("-bundle-dir needs a DL method (mlp, cnn); got -methods %s", raw)
 	}
-	if (a.batched || a.batchN != 0 || a.f32) && !needMLP && !needCNN {
+	if (a.batched || a.batchN != 0) && !needMLP && !needCNN {
 		// Same rule: these only change how a network's field solves run.
-		return fmt.Errorf("-batched/-batch/-f32 act on DL field solves and need a DL method (mlp, cnn); got -methods %s", raw)
+		return fmt.Errorf("-batched/-batch act on DL field solves and need a DL method (mlp, cnn); got -methods %s", raw)
 	}
 	if bundleDir != "" && a.load != "" {
 		// -load-models bypasses training entirely, so the bundle store
@@ -221,13 +219,13 @@ func runMethodScan(a scanArgs) error {
 		pipeOpts := experiments.Options{
 			Tiny: !a.paper, Paper: a.paper, Seed: a.seed, Log: os.Stderr,
 			SkipCNN: !needCNN, LoadModels: a.load, TrainWorkers: a.trainWorkers,
-			BundleDir: bundleDir, TrainPipeline: a.trainPipeline, Inference32: a.f32,
+			BundleDir: bundleDir, TrainPipeline: a.trainPipeline,
 		}
 		base = pipeOpts.BaseConfig()
 		provider = experiments.NewPipelineProvider(pipeOpts)
 	}
 	specs, cleanup, err := experiments.MethodsWith(provider, names, experiments.MethodConfig{
-		Batched: a.batched, MaxBatch: a.batchN, Inference32: a.f32,
+		Batched: a.batched, MaxBatch: a.batchN,
 	})
 	if err != nil {
 		return err
@@ -248,9 +246,6 @@ func runMethodScan(a scanArgs) error {
 	}
 	if bundleDir != "" {
 		fmt.Printf("model bundles: %s\n", bundleDir)
-	}
-	if a.f32 {
-		fmt.Println("float32 inference: on (digest comparable only to other -f32 runs)")
 	}
 
 	spec := campaign.Spec{
@@ -391,7 +386,7 @@ func scanProgress(stage string) func(done, total int) {
 	}
 }
 
-func run(paper, tiny bool, seed uint64, outdir string, skipCNN, t1, f4, f5, f6, oracle bool, steps int, load string, trainWorkers int, trainPipeline, f32 bool) error {
+func run(paper, tiny bool, seed uint64, outdir string, skipCNN, t1, f4, f5, f6, oracle bool, steps int, load string, trainWorkers int, trainPipeline bool) error {
 	// -oracle is additive: it never suppresses the main suite.
 	all := !t1 && !f4 && !f5 && !f6
 	if outdir != "" {
@@ -409,16 +404,10 @@ func run(paper, tiny bool, seed uint64, outdir string, skipCNN, t1, f4, f5, f6, 
 	p, err := experiments.New(experiments.Options{
 		Paper: paper, Tiny: tiny, Seed: seed, Log: os.Stderr, SkipCNN: skipCNN,
 		ModelDir: modelDir, LoadModels: load, TrainWorkers: trainWorkers,
-		TrainPipeline: trainPipeline, Inference32: f32,
+		TrainPipeline: trainPipeline,
 	})
 	if err != nil {
 		return err
-	}
-	if f32 {
-		// The CNN has no float32 path (conv layers are not converted);
-		// only the MLP's solves switch precision.
-		p.MLP.Inference32 = true
-		fmt.Println("float32 MLP inference: on")
 	}
 	fmt.Printf("DL-PIC experiment harness — %s scale, seed %d\n", scaleName(paper, tiny), seed)
 	fmt.Printf("corpus: %d train / %d val / %d test-I samples (%v generation)\n\n",

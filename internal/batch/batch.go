@@ -25,17 +25,20 @@
 // under the pool — never leaks into the physics. Batched sweeps are
 // therefore bit-identical to per-call sweeps at any worker count and
 // any MaxBatch.
+//
+// Field method: Solver hands each scenario a core.NNSolver whose
+// prediction stage is a Client of the shared server
+// (core.NNSolver.WithPredict). Binning, normalization, the box-length
+// and non-finite checks are core's one DL pipeline, never a copy.
 package batch
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"dlpic/internal/core"
 	"dlpic/internal/nn"
-	"dlpic/internal/phasespace"
 	"dlpic/internal/pic"
 )
 
@@ -75,8 +78,8 @@ type request struct {
 // them through a shared Predictor in stacked batches. One goroutine
 // owns the predictor, so the backing network needs no locking and no
 // per-scenario clones. Create with NewServer or NewNetworkServer, hand
-// out clients with NewClient (or field methods with NewFieldMethod),
-// and Close the server after every client is closed.
+// out clients with NewClient, and Close the server after every client
+// is closed.
 type Server struct {
 	pred          Predictor
 	inDim, outDim int
@@ -289,153 +292,57 @@ func (c *Client) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// PIC field-method adapter
-
-// FieldMethod routes one simulation's DL field solve through a batch
-// server: it bins the particle phase space, normalizes the histogram
-// with the training-time transform, and submits the row to the server,
-// exactly mirroring core.NNSolver's per-call pipeline. It implements
-// pic.FieldMethod and io.Closer; the sweep engine closes it when its
-// scenario finishes.
-type FieldMethod struct {
-	client *Client
-	norm   phasespace.Normalizer
-	hist   *phasespace.Hist
-	in     []float64
-}
-
-// NewFieldMethod registers a client and wraps it as a field method for
-// a grid of the given cell count. The phase-space spec must match the
-// server's input width and the cell count its output width — the same
-// contract core.NewNNSolver enforces.
-func (s *Server) NewFieldMethod(spec phasespace.GridSpec, norm phasespace.Normalizer, cells int) (*FieldMethod, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Size() != s.inDim {
-		return nil, fmt.Errorf("batch: phase-space size %d != server input %d", spec.Size(), s.inDim)
-	}
-	if cells != s.outDim {
-		return nil, fmt.Errorf("batch: grid cells %d != server output %d", cells, s.outDim)
-	}
-	hist, err := phasespace.NewHist(spec)
-	if err != nil {
-		return nil, err
-	}
-	client, err := s.NewClient()
-	if err != nil {
-		return nil, err
-	}
-	return &FieldMethod{
-		client: client, norm: norm,
-		hist: hist, in: make([]float64, spec.Size()),
-	}, nil
-}
-
-// Name implements pic.FieldMethod.
-func (m *FieldMethod) Name() string { return "dl-batched" }
-
-// ComputeField implements pic.FieldMethod: bin, normalize, and predict
-// through the shared server. As in core.NNSolver, the binning box must
-// be the simulation's.
-func (m *FieldMethod) ComputeField(sim *pic.Simulation, e []float64) error {
-	if l := m.hist.Spec.L; l != sim.Cfg.Length {
-		return fmt.Errorf("batch: model binned over box length %v, simulation box is %v", l, sim.Cfg.Length)
-	}
-	if err := m.hist.Bin(sim.P.X, sim.P.V); err != nil {
-		return err
-	}
-	m.norm.Apply(m.in, m.hist.Data)
-	if err := m.client.Predict(m.in, e); err != nil {
-		return err
-	}
-	for i, v := range e {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("batch: network produced non-finite E[%d] = %v", i, v)
-		}
-	}
-	return nil
-}
-
-// Close implements io.Closer, unregistering the method's client.
-func (m *FieldMethod) Close() error { return m.client.Close() }
-
-// ---------------------------------------------------------------------------
 // Sweep integration
 
-// Solver bundles a running server with the preprocessing contract of a
-// trained DL field solver. It implements sweep.Batcher: each scenario
-// gets a FieldMethod bound to a fresh client, and every scenario's
-// inference lands on the one shared network.
+// Solver is a running server around a trained DL field solver's
+// network. It implements sweep.Batcher: each scenario gets its own
+// core.NNSolver whose prediction stage is a fresh client of the server,
+// so binning, normalization and the field checks are core's and every
+// scenario's inference lands on the one shared network.
 type Solver struct {
 	// Server is the running inference server (owned; Close stops it).
 	Server *Server
-	// Spec and Norm are the binning and normalization fixed at
-	// training time, shared by every scenario.
-	Spec phasespace.GridSpec
-	Norm phasespace.Normalizer
+
+	solver *core.NNSolver
 }
 
-// NewSolver starts a batched solver around a trained network and its
-// preprocessing contract. maxBatch <= 0 selects DefaultMaxBatch.
-func NewSolver(net *nn.Network, spec phasespace.GridSpec, norm phasespace.Normalizer, maxBatch int) (*Solver, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if net != nil && net.InDim != spec.Size() {
-		return nil, fmt.Errorf("batch: network input %d != phase-space size %d", net.InDim, spec.Size())
-	}
-	srv, err := NewNetworkServer(net, maxBatch)
-	if err != nil {
-		return nil, err
-	}
-	return &Solver{Server: srv, Spec: spec, Norm: norm}, nil
-}
-
-// FromNNSolver starts a batched solver that shares the network of an
-// existing per-call solver (the solver's own scratch is untouched; do
-// not step it concurrently with the server). The solver's optional
-// ClampAbs / SmoothModes post-processing is not implemented on the
-// batched path, so those must be at their (paper-default) zero values.
+// FromNNSolver starts a batched solver that shares the network, binning
+// spec and normalizer of an existing per-call solver (the solver's own
+// scratch is untouched; do not step it concurrently with the server).
+// maxBatch <= 0 selects DefaultMaxBatch.
 func FromNNSolver(s *core.NNSolver, maxBatch int) (*Solver, error) {
 	if s == nil {
 		return nil, errors.New("batch: nil solver")
 	}
-	if s.ClampAbs != 0 || s.SmoothModes != 0 {
-		return nil, fmt.Errorf("batch: ClampAbs/SmoothModes post-processing is not supported on the batched path")
-	}
-	return NewSolver(s.Net, s.Spec, s.Norm, maxBatch)
-}
-
-// FromNNSolver32 is FromNNSolver on the float32 inference path: the
-// solver's network is converted once (nn.NewPredictor32) and the shared
-// server evaluates every scenario's batched solves in float32. The
-// conversion is eager so unsupported architectures fail here, not at
-// the first solve. Same post-processing restriction as FromNNSolver;
-// results differ from the float64 path within the nn.MeasureDrift32
-// bounds, so only compare digests across runs of the same precision.
-func FromNNSolver32(s *core.NNSolver, maxBatch int) (*Solver, error) {
-	if s == nil {
-		return nil, errors.New("batch: nil solver")
-	}
-	if s.ClampAbs != 0 || s.SmoothModes != 0 {
-		return nil, fmt.Errorf("batch: ClampAbs/SmoothModes post-processing is not supported on the batched path")
-	}
-	pred, err := nn.NewPredictor32(s.Net)
-	if err != nil {
-		return nil, fmt.Errorf("batch: float32 conversion: %w", err)
-	}
-	srv, err := NewServer(pred, pred.InDim(), pred.OutDim(), maxBatch)
+	srv, err := NewNetworkServer(s.Net, maxBatch)
 	if err != nil {
 		return nil, err
 	}
-	return &Solver{Server: srv, Spec: s.Spec, Norm: s.Norm}, nil
+	return &Solver{Server: srv, solver: s}, nil
 }
+
+// fieldMethod is one scenario's batched field method. The sweep engine
+// closes it when the scenario finishes, unregistering its client.
+type fieldMethod struct {
+	*core.NNSolver
+	client *Client
+}
+
+func (m fieldMethod) Close() error { return m.client.Close() }
 
 // FieldMethod implements sweep.Batcher: it registers a client for one
 // scenario of the given configuration.
 func (s *Solver) FieldMethod(cfg pic.Config) (pic.FieldMethod, error) {
-	return s.Server.NewFieldMethod(s.Spec, s.Norm, cfg.Cells)
+	client, err := s.Server.NewClient()
+	if err != nil {
+		return nil, err
+	}
+	m, err := s.solver.WithPredict(cfg.Cells, client.Predict)
+	if err != nil {
+		client.Close()
+		return nil, err
+	}
+	return fieldMethod{m, client}, nil
 }
 
 // Close stops the underlying server. Call after the sweeps using the

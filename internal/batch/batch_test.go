@@ -2,10 +2,12 @@ package batch
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 
+	"dlpic/internal/core"
 	"dlpic/internal/interp"
 	"dlpic/internal/nn"
 	"dlpic/internal/phasespace"
@@ -240,16 +242,20 @@ func TestFieldMethodRejectsOtherBoxLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewNetworkServer(net, 0)
+	solver, err := core.NewNNSolver(net, spec, phasespace.Normalizer{Max: 1}, cfg.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	method, err := srv.NewFieldMethod(spec, phasespace.Normalizer{Max: 1}, cfg.Cells)
+	bs, err := FromNNSolver(solver, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer method.Close()
+	defer bs.Close()
+	method, err := bs.FieldMethod(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer method.(io.Closer).Close()
 	_, err = pic.New(cfg, method)
 	if err == nil {
 		t.Fatal("field method binned over twice the box was accepted")
@@ -258,5 +264,44 @@ func TestFieldMethodRejectsOtherBoxLength(t *testing.T) {
 		if !strings.Contains(err.Error(), fmt.Sprint(l)) {
 			t.Errorf("error %q does not name box length %v", err, l)
 		}
+	}
+}
+
+// A scenario whose grid does not match the network's output width is
+// refused when its field method is built, and its client does not stay
+// registered: a later scenario still flushes on its own.
+func TestFieldMethodRejectsOtherCellCount(t *testing.T) {
+	cfg := pic.Default()
+	cfg.Cells = 16
+	cfg.ParticlesPerCell = 4
+	spec := phasespace.GridSpec{NX: 16, NV: 8, L: cfg.Length, VMin: -0.8, VMax: 0.8, Binning: interp.NGP}
+	net, err := nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: cfg.Cells, Hidden: 8, HiddenLayers: 1}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := core.NewNNSolver(net, spec, phasespace.Normalizer{Max: 1}, cfg.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := FromNNSolver(solver, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bs.Close()
+	other := cfg
+	other.Cells = 32
+	if _, err := bs.FieldMethod(other); err == nil {
+		t.Fatal("field method for a 32-cell grid accepted a 16-output network")
+	}
+	method, err := bs.FieldMethod(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer method.(io.Closer).Close()
+	if _, err := pic.New(cfg, method); err != nil {
+		t.Fatal(err)
+	}
+	if st := bs.Server.Stats(); st.Requests != 1 || st.Batches != 1 {
+		t.Fatalf("stats = %+v, want one flush of the one solve", st)
 	}
 }

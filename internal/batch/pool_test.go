@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"dlpic/internal/phasespace"
 )
 
 // slotPred is a trivial predictor for pool plumbing tests.
@@ -20,7 +18,7 @@ func newPoolSolver(t *testing.T) *Solver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Solver{Server: srv, Spec: phasespace.GridSpec{}, Norm: phasespace.Normalizer{}}
+	return &Solver{Server: srv}
 }
 
 // TestPoolMemoizesConcurrentBuilds: N concurrent requests for one key

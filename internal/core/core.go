@@ -8,17 +8,19 @@
 //  2. predict the grid electric field from that histogram with a neural
 //     network trained offline on traditional PIC data.
 //
-// The package provides three pic.FieldMethod implementations:
+// The package provides two pic.FieldMethod implementations:
 //
 //   - NNSolver — the paper's method, wrapping a trained internal/nn
-//     network plus the input normalizer fixed at training time;
+//     network plus the input normalizer fixed at training time. It is
+//     the one DL field-solve pipeline: the per-call path, bundle-loaded
+//     solvers and the batched method of internal/batch (an NNSolver
+//     whose prediction stage is a shared inference server, see
+//     WithPredict) all run its ComputeField;
 //   - OracleSolver — a "perfect DL solver": it consumes exactly the same
 //     binned histogram but recovers the field through the spatial
 //     marginal and a Poisson solve. It isolates the error introduced by
 //     the cycle structure (binning information loss) from the error
-//     introduced by learning, and is the reference the tests use;
-//   - HybridSolver — a convex blend of a learned solver and the oracle,
-//     used by the ablation benchmarks.
+//     introduced by learning, and is the reference the tests use.
 package core
 
 import (
@@ -29,7 +31,6 @@ import (
 	"math"
 	"os"
 
-	"dlpic/internal/fft"
 	"dlpic/internal/grid"
 	"dlpic/internal/nn"
 	"dlpic/internal/phasespace"
@@ -51,26 +52,9 @@ type NNSolver struct {
 
 	hist *phasespace.Hist
 	in   []float64
-	// ClampAbs, if positive, clamps predicted field values to
-	// [-ClampAbs, +ClampAbs] as an out-of-distribution guard. Zero
-	// disables clamping (the paper applies none).
-	ClampAbs float64
-	// SmoothModes, if positive, low-passes the predicted field to the
-	// first SmoothModes Fourier modes. Prediction error on
-	// out-of-distribution states is broadband, while the physical field
-	// content of the two-stream problem lives in the first few modes;
-	// the filter suppresses the random-walk heating that noise injects
-	// (an extension beyond the paper, disabled by default).
-	SmoothModes int
-	smoothPlan  *fft.Plan
-	smoothSpec  []complex128
-	// Inference32 routes predictions through the float32 inference path
-	// (nn.PredictBatch32: converted weights, half the memory traffic).
-	// Opt-in: it changes results within the drift bounds measured by
-	// nn.MeasureDrift32, so campaign digests are only stable against
-	// runs using the same precision. Supported for dense stacks only;
-	// ComputeField reports the conversion error for other nets.
-	Inference32 bool
+	// predict, when set by WithPredict, replaces Net.Predict1 as the
+	// prediction stage.
+	predict func(in, out []float64) error
 
 	// Predictions counts ComputeField invocations (diagnostics).
 	Predictions int
@@ -100,8 +84,16 @@ func NewNNSolver(net *nn.Network, spec phasespace.GridSpec, norm phasespace.Norm
 	}, nil
 }
 
-// Name implements pic.FieldMethod.
-func (s *NNSolver) Name() string { return "dl-mlp" }
+// Name implements pic.FieldMethod: "dl-cnn" for a network with
+// convolution layers, "dl-mlp" otherwise.
+func (s *NNSolver) Name() string {
+	for _, l := range s.Net.Layers {
+		if _, ok := l.(*nn.Conv2D); ok {
+			return "dl-cnn"
+		}
+	}
+	return "dl-mlp"
+}
 
 // ComputeField implements pic.FieldMethod: bin, normalize, predict.
 //
@@ -115,20 +107,10 @@ func (s *NNSolver) ComputeField(sim *pic.Simulation, e []float64) error {
 		return err
 	}
 	s.Norm.Apply(s.in, s.hist.Data)
-	if err := s.predict(e); err != nil {
+	if s.predict == nil {
+		s.Net.Predict1(s.in, e)
+	} else if err := s.predict(s.in, e); err != nil {
 		return err
-	}
-	if s.SmoothModes > 0 {
-		s.lowPass(e)
-	}
-	if s.ClampAbs > 0 {
-		for i, v := range e {
-			if v > s.ClampAbs {
-				e[i] = s.ClampAbs
-			} else if v < -s.ClampAbs {
-				e[i] = -s.ClampAbs
-			}
-		}
 	}
 	for i, v := range e {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -139,68 +121,35 @@ func (s *NNSolver) ComputeField(sim *pic.Simulation, e []float64) error {
 	return nil
 }
 
-// predict evaluates the network on the prepared s.in, honouring the
-// precision selection. Both paths are batch-1 calls on shared solver
-// scratch — the Clone-per-scenario ownership rule is unchanged.
-func (s *NNSolver) predict(e []float64) error {
-	if s.Inference32 {
-		return s.Net.PredictBatch32(1, s.in, e)
-	}
-	s.Net.Predict1(s.in, e)
-	return nil
-}
-
-// lowPass zeroes every Fourier mode above SmoothModes in place.
-func (s *NNSolver) lowPass(e []float64) {
-	n := len(e)
-	if s.smoothPlan == nil || s.smoothPlan.Len() != n {
-		s.smoothPlan = fft.MustPlan(n)
-		s.smoothSpec = make([]complex128, n)
-	}
-	s.smoothPlan.ForwardReal(s.smoothSpec, e)
-	for k := 1; k < n; k++ {
-		m := k
-		if m > n/2 {
-			m = n - k
-		}
-		if m > s.SmoothModes {
-			s.smoothSpec[k] = 0
-		}
-	}
-	s.smoothPlan.InverseReal(e, s.smoothSpec)
-}
-
-// Clone returns an independent copy of the solver: deep-copied network,
-// fresh histogram and input scratch, same binning spec, normalizer and
-// post-processing options. A sweep that runs the DL method on the
-// per-call path needs one clone per scenario, because a solver's
-// network scratch makes sharing an instance across concurrently
-// stepping simulations a data race; the batched inference server
-// (internal/batch) is the alternative that shares one network safely.
+// Clone returns an independent per-call copy of the solver:
+// deep-copied network, fresh histogram and input scratch, same binning
+// spec and normalizer. A sweep that runs the DL method on the per-call
+// path needs one clone per scenario, because a solver's network scratch
+// makes sharing an instance across concurrently stepping simulations a
+// data race; the batched inference server (internal/batch) is the
+// alternative that shares one network safely.
 func (s *NNSolver) Clone() (*NNSolver, error) {
 	net, err := nn.Clone(s.Net)
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewNNSolver(net, s.Spec, s.Norm, net.OutDim())
+	return NewNNSolver(net, s.Spec, s.Norm, net.OutDim())
+}
+
+// WithPredict returns a solver for a grid of the given cell count with
+// s's network, binning spec and normalizer, fresh histogram and input
+// scratch, and predict as its prediction stage instead of Net.Predict1:
+// predict receives the normalized histogram row and writes the field.
+// The network is shared, not copied, and the returned solver never
+// evaluates it; internal/batch uses this to run one scenario's field
+// solves through a shared inference server.
+func (s *NNSolver) WithPredict(cells int, predict func(in, out []float64) error) (*NNSolver, error) {
+	c, err := NewNNSolver(s.Net, s.Spec, s.Norm, cells)
 	if err != nil {
 		return nil, err
 	}
-	c.ClampAbs = s.ClampAbs
-	c.SmoothModes = s.SmoothModes
-	c.Inference32 = s.Inference32
+	c.predict = predict
 	return c, nil
-}
-
-// PredictFromHistogram runs the solver on a raw histogram vector
-// (un-normalized bin counts), writing the field into e. Exposed for the
-// evaluation harness.
-func (s *NNSolver) PredictFromHistogram(histData, e []float64) error {
-	if len(histData) != s.Spec.Size() {
-		return fmt.Errorf("core: histogram length %d, want %d", len(histData), s.Spec.Size())
-	}
-	s.Norm.Apply(s.in, histData)
-	return s.predict(e)
 }
 
 // ---------------------------------------------------------------------------
@@ -267,52 +216,6 @@ func (s *OracleSolver) ComputeField(sim *pic.Simulation, e []float64) error {
 		s.rho[i] = s.rho[i]*scale + sim.IonRho
 	}
 	return poisson.SolveE(s.solver, s.g, e, s.rho, s.scratch)
-}
-
-// ---------------------------------------------------------------------------
-// Hybrid solver
-
-// HybridSolver blends a learned solver with the oracle:
-// E = alpha * E_nn + (1 - alpha) * E_oracle. alpha = 1 is the paper's
-// method; alpha = 0 is the oracle. Intermediate values quantify how much
-// learned error the PIC loop tolerates (ablation).
-type HybridSolver struct {
-	NN     *NNSolver
-	Oracle *OracleSolver
-	Alpha  float64
-
-	eNN, eOr []float64
-}
-
-// NewHybridSolver validates and builds the blend.
-func NewHybridSolver(nnSolver *NNSolver, oracle *OracleSolver, alpha float64, cells int) (*HybridSolver, error) {
-	if nnSolver == nil || oracle == nil {
-		return nil, fmt.Errorf("core: hybrid needs both solvers")
-	}
-	if alpha < 0 || alpha > 1 {
-		return nil, fmt.Errorf("core: hybrid alpha %v outside [0,1]", alpha)
-	}
-	return &HybridSolver{
-		NN: nnSolver, Oracle: oracle, Alpha: alpha,
-		eNN: make([]float64, cells), eOr: make([]float64, cells),
-	}, nil
-}
-
-// Name implements pic.FieldMethod.
-func (s *HybridSolver) Name() string { return fmt.Sprintf("dl-hybrid(%.2f)", s.Alpha) }
-
-// ComputeField implements pic.FieldMethod.
-func (s *HybridSolver) ComputeField(sim *pic.Simulation, e []float64) error {
-	if err := s.NN.ComputeField(sim, s.eNN); err != nil {
-		return err
-	}
-	if err := s.Oracle.ComputeField(sim, s.eOr); err != nil {
-		return err
-	}
-	for i := range e {
-		e[i] = s.Alpha*s.eNN[i] + (1-s.Alpha)*s.eOr[i]
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

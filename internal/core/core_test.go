@@ -208,6 +208,73 @@ func TestDLCycleWithTrainedMLP(t *testing.T) {
 	}
 }
 
+// The CNN architecture drives the PIC loop through the same solver
+// plumbing as the MLP.
+func TestDLCycleWithCNNSolver(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Cells = 32
+	cfg.ParticlesPerCell = 10
+	spec := phasespace.GridSpec{NX: 32, NV: 32, L: cfg.Length, VMin: -0.8, VMax: 0.8}
+	net, err := nn.NewCNN(nn.CNNConfig{
+		H: spec.NV, W: spec.NX, OutDim: cfg.Cells,
+		Channels1: 2, Channels2: 2, Kernel: 3, Hidden: 16, HiddenLayers: 1,
+	}, rng.New(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := NewNNSolver(net, spec, phasespace.Normalizer{Min: 0, Max: 50}, cfg.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Untrained CNN: scale its output layer down so the predicted
+	// fields stay physical.
+	params := net.Params()
+	for _, p := range params[len(params)-2:] {
+		p.W.Scale(0.01)
+	}
+	sim, err := pic.New(cfg, solver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(20, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.CheckFinite(); err != nil {
+		t.Fatal(err)
+	}
+	if solver.Predictions < 20 {
+		t.Fatalf("CNN solver invoked %d times", solver.Predictions)
+	}
+	if got := solver.Name(); got != "dl-cnn" {
+		t.Fatalf("CNN solver named %q, want dl-cnn", got)
+	}
+}
+
+// Name follows the network: the per-call MLP and its batched method
+// (a WithPredict copy) are "dl-mlp".
+func TestNNSolverNameFollowsNetwork(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Cells = 16
+	spec := phasespace.GridSpec{NX: 16, NV: 8, L: cfg.Length, VMin: -0.8, VMax: 0.8, Binning: interp.NGP}
+	net, err := nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: 16, Hidden: 4, HiddenLayers: 1}, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := NewNNSolver(net, spec, phasespace.Normalizer{Max: 1}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked, err := solver.WithPredict(16, func(in, out []float64) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*NNSolver{solver, hooked} {
+		if got := s.Name(); got != "dl-mlp" {
+			t.Errorf("MLP solver named %q, want dl-mlp", got)
+		}
+	}
+}
+
 func TestNNSolverValidation(t *testing.T) {
 	cfg := fastCfg()
 	spec := oracleSpec(cfg)
@@ -222,96 +289,6 @@ func TestNNSolverValidation(t *testing.T) {
 	wrongOut, _ := nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: 7, Hidden: 4, HiddenLayers: 1}, r)
 	if _, err := NewNNSolver(wrongOut, spec, phasespace.Normalizer{Max: 1}, cfg.Cells); err == nil {
 		t.Error("output mismatch should fail")
-	}
-}
-
-func TestNNSolverClampGuard(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Cells = 16
-	cfg.ParticlesPerCell = 4
-	spec := phasespace.GridSpec{NX: 16, NV: 8, L: cfg.Length, VMin: -0.8, VMax: 0.8, Binning: interp.NGP}
-	r := rng.New(2)
-	net, err := nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: 16, Hidden: 8, HiddenLayers: 1}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Blow up the output layer weights so raw predictions are huge.
-	params := net.Params()
-	last := params[len(params)-2]
-	last.W.Fill(100)
-	solver, err := NewNNSolver(net, spec, phasespace.Normalizer{Min: 0, Max: 1}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solver.ClampAbs = 0.5
-	sim, err := pic.New(cfg, solver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range sim.E {
-		if math.Abs(v) > 0.5+1e-12 {
-			t.Fatalf("clamp failed: E[%d] = %v", i, v)
-		}
-	}
-}
-
-func TestPredictFromHistogram(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Cells = 16
-	spec := phasespace.GridSpec{NX: 16, NV: 8, L: cfg.Length, VMin: -0.8, VMax: 0.8, Binning: interp.NGP}
-	r := rng.New(3)
-	net, _ := nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: 16, Hidden: 8, HiddenLayers: 1}, r)
-	solver, err := NewNNSolver(net, spec, phasespace.Normalizer{Min: 0, Max: 10}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := make([]float64, spec.Size())
-	e := make([]float64, 16)
-	if err := solver.PredictFromHistogram(hist, e); err != nil {
-		t.Fatal(err)
-	}
-	if err := solver.PredictFromHistogram(make([]float64, 3), e); err == nil {
-		t.Fatal("wrong histogram length should fail")
-	}
-}
-
-func TestHybridSolverBlend(t *testing.T) {
-	cfg := fastCfg()
-	spec := oracleSpec(cfg)
-	oracle, err := NewOracleSolver(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(4)
-	net, _ := nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: cfg.Cells, Hidden: 8, HiddenLayers: 1}, r)
-	nnSolver, err := NewNNSolver(net, spec, phasespace.Normalizer{Min: 0, Max: 1000}, cfg.Cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewHybridSolver(nnSolver, oracle, 1.5, cfg.Cells); err == nil {
-		t.Error("alpha > 1 should fail")
-	}
-	if _, err := NewHybridSolver(nil, oracle, 0.5, cfg.Cells); err == nil {
-		t.Error("nil solver should fail")
-	}
-	// alpha = 0 reproduces the oracle exactly.
-	hybrid, err := NewHybridSolver(nnSolver, oracle, 0, cfg.Cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := pic.New(cfg, hybrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eHybrid := append([]float64(nil), sim.E...)
-	eOracle := make([]float64, cfg.Cells)
-	if err := oracle.ComputeField(sim, eOracle); err != nil {
-		t.Fatal(err)
-	}
-	for i := range eHybrid {
-		if math.Abs(eHybrid[i]-eOracle[i]) > 1e-12 {
-			t.Fatalf("alpha=0 hybrid differs from oracle at %d", i)
-		}
 	}
 }
 
@@ -339,16 +316,18 @@ func TestModelBundleRoundTrip(t *testing.T) {
 	if loaded.Spec != solver.Spec {
 		t.Fatal("spec lost in bundle")
 	}
-	hist := make([]float64, spec.Size())
-	for i := range hist {
-		hist[i] = float64(i % 7)
+	// Same particles through both solvers' whole pipeline: the bundle
+	// must carry the weights, the binning and the normalizer.
+	sim, err := pic.New(cfg, solver)
+	if err != nil {
+		t.Fatal(err)
 	}
 	e1 := make([]float64, 16)
 	e2 := make([]float64, 16)
-	if err := solver.PredictFromHistogram(hist, e1); err != nil {
+	if err := solver.ComputeField(sim, e1); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.PredictFromHistogram(hist, e2); err != nil {
+	if err := loaded.ComputeField(sim, e2); err != nil {
 		t.Fatal(err)
 	}
 	for i := range e1 {

@@ -82,35 +82,6 @@ func TestNaNWeightDetectedMidRun(t *testing.T) {
 	}
 }
 
-func TestClampContainsExplosiveNetwork(t *testing.T) {
-	cfg, spec, net := corruptibleSetup(t)
-	// Saturate the output layer: raw predictions in the hundreds.
-	params := net.Params()
-	params[len(params)-2].W.Fill(50)
-	solver, err := NewNNSolver(net, spec, phasespace.Normalizer{Min: 0, Max: 1}, cfg.Cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solver.ClampAbs = 0.2
-	sim, err := pic.New(cfg, solver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 20; step++ {
-		if _, err := sim.Step(); err != nil {
-			t.Fatalf("clamped run failed at step %d: %v", step, err)
-		}
-	}
-	if err := sim.CheckFinite(); err != nil {
-		t.Fatal(err)
-	}
-	// Velocities stay bounded by the clamp: |dv| <= clamp*dt per step.
-	_, vmax := sim.P.VelocityBounds()
-	if vmax > 1.0 {
-		t.Fatalf("velocities escaped despite clamp: vmax=%v", vmax)
-	}
-}
-
 // Training with the physics-informed loss must converge like plain MSE
 // (the paper's §VII PINN suggestion, implemented as an extension).
 func TestPhysicsInformedTrainingConverges(t *testing.T) {

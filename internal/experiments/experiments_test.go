@@ -236,48 +236,3 @@ func TestMethodsDLFromPipeline(t *testing.T) {
 		}
 	}
 }
-
-// TestInference32ObservableDrift is the observable-level half of the
-// float32 accuracy harness (nn.MeasureDrift32 is the per-element half):
-// an MLP two-stream run on the float32 path must reproduce the float64
-// run's physics — fitted growth rate and energy variation — within
-// loose tolerances, while the per-call and batched float32 backends
-// agree with each other bit for bit (the same batch-invariance property
-// TestBatchedSweepMatchesPerCall pins in float64).
-func TestInference32ObservableDrift(t *testing.T) {
-	p := getPipeline(t)
-	sc := sweep.Grid(p.Cfg, []float64{0.2}, []float64{0.025}, 1, 80, 7)
-	run := func(mc MethodConfig) sweep.Result {
-		specs, cleanup, err := MethodsWith(FixedPipeline(p), []string{MethodMLP}, mc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cleanup()
-		results := sweep.Run(sc, sweep.Options{Methods: specs, SkipFit: true})
-		if err := sweep.FirstError(results); err != nil {
-			t.Fatal(err)
-		}
-		return results[0]
-	}
-	r64 := run(MethodConfig{})
-	r32 := run(MethodConfig{Inference32: true})
-	b32 := run(MethodConfig{Inference32: true, Batched: true})
-	for k := range r32.Rec.Samples {
-		if r32.Rec.Samples[k] != b32.Rec.Samples[k] {
-			t.Fatalf("sample %d: batched float32 diverged from per-call float32", k)
-		}
-	}
-	// The instability amplifies rounding differences exponentially, so
-	// the per-sample series drift; the fitted observables must not.
-	if g64, g32 := r64.Growth.Gamma, r32.Growth.Gamma; r64.FitOK {
-		if !r32.FitOK {
-			t.Fatal("float64 run fit a growth window, float32 did not")
-		}
-		if rel := math.Abs(g32-g64) / math.Abs(g64); rel > 0.1 {
-			t.Errorf("fitted gamma drift %.1f%% (f64 %v, f32 %v)", 100*rel, g64, g32)
-		}
-	}
-	if d := math.Abs(r32.EnergyVariation - r64.EnergyVariation); d > 0.02 {
-		t.Errorf("energy variation drift %v (f64 %v, f32 %v)", d, r64.EnergyVariation, r32.EnergyVariation)
-	}
-}

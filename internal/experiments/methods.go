@@ -128,21 +128,11 @@ func (l *lazyBatcher) close() {
 // PoolKey must fold in everything the built server depends on (the
 // pipeline's training identity and the batch cap); it is required when
 // Pool is set.
-//
-// Inference32 routes the DL methods' field solves through the float32
-// inference path (per-call: core.NNSolver.Inference32; batched:
-// batch.FromNNSolver32). Unlike Batched it is NOT result-neutral:
-// observables drift within the nn.MeasureDrift32 bounds, so campaign
-// digests only reproduce across runs of the same precision — and a
-// PoolKey used with it must fold the precision in, or float32 and
-// float64 campaigns would share a server. Dense stacks (the MLP) only;
-// the CNN reports the conversion error.
 type MethodConfig struct {
-	Batched     bool
-	MaxBatch    int
-	Pool        *batch.Pool
-	PoolKey     func(method string) string
-	Inference32 bool
+	Batched  bool
+	MaxBatch int
+	Pool     *batch.Pool
+	PoolKey  func(method string) string
 }
 
 // BundleMethod constructs the method spec of one DL method from a
@@ -222,9 +212,6 @@ func MethodsWith(provider PipelineProvider, names []string, mc MethodConfig) (sp
 				if err != nil {
 					return nil, err
 				}
-				if mc.Inference32 {
-					return batch.FromNNSolver32(solver, mc.MaxBatch)
-				}
 				return batch.FromNNSolver(solver, mc.MaxBatch)
 			}
 			if mc.Pool != nil {
@@ -245,14 +232,7 @@ func MethodsWith(provider PipelineProvider, names []string, mc MethodConfig) (sp
 			if err != nil {
 				return nil, err
 			}
-			c, err := solver.Clone()
-			if err != nil {
-				return nil, err
-			}
-			if mc.Inference32 {
-				c.Inference32 = true
-			}
-			return c, nil
+			return solver.Clone()
 		}}
 	}
 	for _, name := range names {

@@ -74,11 +74,6 @@ type Options struct {
 	// histories are bit-identical with it on or off, and it does not
 	// enter the training fingerprint BundleDir keys on.
 	TrainPipeline bool
-	// Inference32 routes DL field solves through the float32 inference
-	// path when the campaign's method registry opts in (see
-	// MethodConfig.Inference32). Training always stays float64; this
-	// option only threads the flag through to solver construction.
-	Inference32 bool
 }
 
 // Pipeline holds the shared state of the evaluation: the corpus, the

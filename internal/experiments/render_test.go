@@ -6,6 +6,7 @@ import (
 
 	"dlpic/internal/core"
 	"dlpic/internal/nn"
+	"dlpic/internal/pic"
 )
 
 func TestTable1RowsWithoutCNN(t *testing.T) {
@@ -61,16 +62,16 @@ func TestModelExportAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make([]float64, p.Spec.Size())
-	for i := range in {
-		in[i] = float64(i % 5)
+	sim, err := pic.New(p.Cfg, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	e1 := make([]float64, p.Cfg.Cells)
 	e2 := make([]float64, p.Cfg.Cells)
-	if err := p.MLP.PredictFromHistogram(in, e1); err != nil {
+	if err := p.MLP.ComputeField(sim, e1); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.PredictFromHistogram(in, e2); err != nil {
+	if err := loaded.ComputeField(sim, e2); err != nil {
 		t.Fatal(err)
 	}
 	for i := range e1 {

@@ -15,7 +15,6 @@ type Network struct {
 
 	in1 *tensor.Tensor // batch-1 scratch for Predict1
 	inB *tensor.Tensor // batched scratch for PredictBatch
-	p32 *Predictor32   // lazy converted-weights cache for PredictBatch32
 }
 
 // NewNetwork validates that the layer widths chain correctly from inDim

@@ -35,6 +35,11 @@ func (s *SGD) Step(params []*Param) {
 type Momentum struct {
 	LR, Mu float64
 	vel    map[*tensor.Tensor]*tensor.Tensor
+
+	// The parameter Step is updating, read by body. Step binds body
+	// once, so a warm Step allocates nothing.
+	vd, w, g []float64
+	body     func(s, e int)
 }
 
 // Name implements Optimizer.
@@ -45,19 +50,26 @@ func (m *Momentum) Step(params []*Param) {
 	if m.vel == nil {
 		m.vel = make(map[*tensor.Tensor]*tensor.Tensor)
 	}
+	if m.body == nil {
+		m.body = m.update
+	}
 	for _, p := range params {
 		v, ok := m.vel[p.W]
 		if !ok {
 			v = tensor.New(p.W.Shape...)
 			m.vel[p.W] = v
 		}
-		vel, w, g := v.Data, p.W.Data, p.G.Data
-		parallel.For(len(vel), func(s, e int) {
-			for i := s; i < e; i++ {
-				vel[i] = m.Mu*vel[i] + g[i]
-				w[i] -= m.LR * vel[i]
-			}
-		})
+		m.vd, m.w, m.g = v.Data, p.W.Data, p.G.Data
+		parallel.For(len(m.vd), m.body)
+	}
+}
+
+// update is Step's element loop over [s, e) of the current parameter.
+func (m *Momentum) update(s, e int) {
+	vel, w, g, mu, lr := m.vd, m.w, m.g, m.Mu, m.LR
+	for i := s; i < e; i++ {
+		vel[i] = mu*vel[i] + g[i]
+		w[i] -= lr * vel[i]
 	}
 }
 
@@ -68,6 +80,13 @@ type Adam struct {
 	t int
 	m map[*tensor.Tensor]*tensor.Tensor
 	v map[*tensor.Tensor]*tensor.Tensor
+
+	// The parameter Step is updating and the step's bias corrections,
+	// read by body. Step binds body once, so a warm Step allocates
+	// nothing.
+	md, vd, w, g []float64
+	b1c, b2c     float64
+	body         func(s, e int)
 }
 
 // NewAdam returns Adam with the paper's learning rate by default
@@ -88,9 +107,12 @@ func (a *Adam) Step(params []*Param) {
 		a.m = make(map[*tensor.Tensor]*tensor.Tensor)
 		a.v = make(map[*tensor.Tensor]*tensor.Tensor)
 	}
+	if a.body == nil {
+		a.body = a.update
+	}
 	a.t++
-	b1c := 1 - math.Pow(a.Beta1, float64(a.t))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.t))
+	a.b1c = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.b2c = 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
 		m, ok := a.m[p.W]
 		if !ok {
@@ -98,17 +120,22 @@ func (a *Adam) Step(params []*Param) {
 			a.m[p.W] = m
 			a.v[p.W] = tensor.New(p.W.Shape...)
 		}
-		md, vd, w, gd := m.Data, a.v[p.W].Data, p.W.Data, p.G.Data
-		parallel.For(len(w), func(s, e int) {
-			for i := s; i < e; i++ {
-				g := gd[i]
-				md[i] = a.Beta1*md[i] + (1-a.Beta1)*g
-				vd[i] = a.Beta2*vd[i] + (1-a.Beta2)*g*g
-				mHat := md[i] / b1c
-				vHat := vd[i] / b2c
-				w[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-			}
-		})
+		a.md, a.vd, a.w, a.g = m.Data, a.v[p.W].Data, p.W.Data, p.G.Data
+		parallel.For(len(a.w), a.body)
+	}
+}
+
+// update is Step's element loop over [s, e) of the current parameter.
+func (a *Adam) update(s, e int) {
+	md, vd, w, gd := a.md, a.vd, a.w, a.g
+	b1, b2, lr, eps, b1c, b2c := a.Beta1, a.Beta2, a.LR, a.Eps, a.b1c, a.b2c
+	for i := s; i < e; i++ {
+		g := gd[i]
+		md[i] = b1*md[i] + (1-b1)*g
+		vd[i] = b2*vd[i] + (1-b2)*g*g
+		mHat := md[i] / b1c
+		vHat := vd[i] / b2c
+		w[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 	}
 }
 

@@ -137,3 +137,16 @@ func TestOptimizerStepMatchesSerialAtAnyProcs(t *testing.T) {
 		}
 	}
 }
+
+// TestOptimizerStepAllocatesNothing: once an optimizer holds its state,
+// a Step allocates nothing — the team loop's body is bound once, not
+// built per parameter.
+func TestOptimizerStepAllocatesNothing(t *testing.T) {
+	for _, o := range []Optimizer{NewAdam(1e-3), &Momentum{LR: 1e-2, Mu: 0.9}, &SGD{LR: 1e-2}} {
+		params := optParams(8)
+		o.Step(params)
+		if n := testing.AllocsPerRun(10, func() { o.Step(params) }); n != 0 {
+			t.Errorf("%s: %v allocations per Step, want 0", o.Name(), n)
+		}
+	}
+}

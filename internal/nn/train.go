@@ -362,7 +362,6 @@ func fitLoop(net *Network, x, y, xVal, yVal *tensor.Tensor, cfg TrainConfig,
 	if err != nil {
 		return hist, err
 	}
-	net.InvalidateF32()    // training moves the weights; drop stale converted copies
 	params := net.Params() // stable across batches; avoids per-batch rebuilds
 	logEvery := cfg.LogEvery
 	if logEvery <= 0 {

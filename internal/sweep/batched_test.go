@@ -2,6 +2,8 @@ package sweep_test
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"dlpic/internal/batch"
@@ -230,6 +232,34 @@ func TestBatchedSweepScenarioError(t *testing.T) {
 	for i, r := range results[1:] {
 		if r.Err != nil {
 			t.Fatalf("scenario %d failed after sibling error: %v", i+1, r.Err)
+		}
+	}
+}
+
+// TestBatchedSweepNonFiniteFieldFails: a network with a NaN output bias
+// fails every batched cell with the same non-finite-field error as the
+// per-call path, before any particle is pushed by the NaN field.
+func TestBatchedSweepNonFiniteFieldFails(t *testing.T) {
+	solver, scs := dlFixture(t)
+	params := solver.Net.Params()
+	params[len(params)-1].W.Data[0] = math.NaN()
+	perCall := sweep.Run(scs, sweep.Options{Workers: 1,
+		Methods: []sweep.MethodSpec{{Name: "mlp", Factory: func(sweep.Scenario) (pic.FieldMethod, error) {
+			return solver.Clone()
+		}}}})
+	bs, err := batch.FromNNSolver(solver, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bs.Close()
+	batched := sweep.Run(scs, sweep.Options{Workers: 2,
+		Methods: []sweep.MethodSpec{{Name: "mlp", Batcher: bs}}})
+	for i, r := range batched {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "non-finite") {
+			t.Fatalf("scenario %d: err = %v, want the non-finite field error", i, r.Err)
+		}
+		if perCall[i].Err == nil || r.Err.Error() != perCall[i].Err.Error() {
+			t.Fatalf("scenario %d: batched err %q, per-call err %v", i, r.Err, perCall[i].Err)
 		}
 	}
 }

@@ -172,86 +172,6 @@ func TestMatMulPackPooled(t *testing.T) {
 	}
 }
 
-// TestMatMulF32AgainstFloat64 bounds the float32 kernel against the
-// float64 reference: same inputs rounded to float32 must agree within
-// float32 epsilon scaled by the dot length.
-func TestMatMulF32AgainstFloat64(t *testing.T) {
-	r := rng.New(11)
-	for _, sh := range []struct{ m, k, n int }{{1, 1, 1}, {3, 7, 5}, {16, 64, 64}, {13, 100, 37}, {64, 128, 16}} {
-		a64 := randTensorSparse(r, sh.m, sh.k)
-		b64 := randTensorSparse(r, sh.k, sh.n)
-		a32 := make([]float32, len(a64.Data))
-		b32 := make([]float32, len(b64.Data))
-		for i, v := range a64.Data {
-			a32[i] = float32(v)
-			a64.Data[i] = float64(a32[i])
-		}
-		for i, v := range b64.Data {
-			b32[i] = float32(v)
-			b64.Data[i] = float64(b32[i])
-		}
-		want := New(sh.m, sh.n)
-		MatMulRef(want, a64, b64, false, false)
-		got := make([]float32, sh.m*sh.n)
-		MatMulF32(got, a32, b32, sh.m, sh.k, sh.n)
-		scale := want.MaxAbs()
-		if scale == 0 {
-			scale = 1
-		}
-		tol := float64(sh.k) * (1 << 1) * (1.0 / (1 << 23)) * scale
-		for i := range got {
-			if d := math.Abs(float64(got[i]) - want.Data[i]); d > tol {
-				t.Fatalf("m=%d k=%d n=%d elem %d: f32=%g f64=%g drift %g > tol %g",
-					sh.m, sh.k, sh.n, i, got[i], want.Data[i], d, tol)
-			}
-		}
-	}
-}
-
-// TestMatMulF32Deterministic pins the float32 kernel's own contract:
-// bit-identical at any GOMAXPROCS, and per-row identical between a
-// stacked batch and row-at-a-time calls (what makes the batched f32
-// inference server equivalent to per-call f32 solves).
-func TestMatMulF32Deterministic(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	r := rng.New(23)
-	const m, kk, n = 17, 90, 70
-	a64 := randTensorSparse(r, m, kk)
-	b64 := randTensorSparse(r, kk, n)
-	a := make([]float32, m*kk)
-	b := make([]float32, kk*n)
-	for i, v := range a64.Data {
-		a[i] = float32(v)
-	}
-	for i, v := range b64.Data {
-		b[i] = float32(v)
-	}
-	runtime.GOMAXPROCS(1)
-	base := make([]float32, m*n)
-	MatMulF32(base, a, b, m, kk, n)
-	for _, procs := range []int{2, 8} {
-		runtime.GOMAXPROCS(procs)
-		got := make([]float32, m*n)
-		MatMulF32(got, a, b, m, kk, n)
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(base[i]) {
-				t.Fatalf("GOMAXPROCS=%d differs from 1 at element %d", procs, i)
-			}
-		}
-	}
-	runtime.GOMAXPROCS(prev)
-	for i := 0; i < m; i++ {
-		row := make([]float32, n)
-		MatMulF32(row, a[i*kk:(i+1)*kk], b, 1, kk, n)
-		for j := range row {
-			if math.Float32bits(row[j]) != math.Float32bits(base[i*n+j]) {
-				t.Fatalf("row %d elem %d: batch-1 differs from stacked batch", i, j)
-			}
-		}
-	}
-}
-
 // TestMatMulRefPanics pins the shared validation on the reference
 // entry points (shape mismatch and aliasing are caller bugs there
 // too).
