@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cpu test-purego fuzz-smoke vet lint race race-train race-parallel bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
+.PHONY: all build test test-cpu test-purego fuzz-smoke vet lint deadcode race race-train race-parallel bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
 
 all: ci
 
@@ -32,8 +32,11 @@ test-purego:
 
 # fuzz-smoke runs the repository's fuzz target, FuzzAxpy (the AVX GEMM
 # row update against its Go loops, bit for bit), for a bounded 10 s.
+# Minimizing each new-coverage input is capped at 0.5 s: uncapped, the
+# engine spends most of the 10 s minimizing inputs that reach new
+# coverage in the instrumented Go loops instead of fuzzing.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzAxpy -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzAxpy -fuzztime 10s -fuzzminimizetime 0.5s ./internal/tensor
 
 vet:
 	$(GO) vet ./...
@@ -46,6 +49,15 @@ vet:
 # `//determlint:ignore <analyzer> <reason>` directive.
 lint:
 	$(GO) run ./tools/determlint ./...
+
+# deadcode fails on any function under internal/ that no binary of the
+# repository links (tools/deadcode): it builds every main package,
+# tools/bench's included, with inlining off and reads the linked symbols.
+# An exception needs an in-source `//deadcode:keep <item or test>`
+# directive naming what calls it; a keep on a function some binary
+# reaches is a finding too, so exceptions cannot go stale.
+deadcode:
+	$(GO) run ./tools/deadcode
 
 # race runs every internal package that defines raw concurrency or
 # transitively imports one (the sweep, campaign and kernel packages)

@@ -127,8 +127,7 @@ type (
 )
 
 // NewAdam returns the paper's Adam optimizer (lr <= 0 selects the
-// paper's 1e-4). Adam, SGD and Momentum state all survive training
-// checkpoints.
+// paper's 1e-4). Its moment estimates survive training checkpoints.
 func NewAdam(lr float64) Optimizer { return nn.NewAdam(lr) }
 
 // MSELoss returns the mean-squared-error training loss (the paper's).

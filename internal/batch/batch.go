@@ -59,14 +59,6 @@ type Stats struct {
 	MaxBatch int
 }
 
-// AvgBatch returns the mean rows per flush (0 before the first flush).
-func (s Stats) AvgBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.Requests) / float64(s.Batches)
-}
-
 // request is one row of work: the server reads in, writes out, and
 // reports completion on done.
 type request struct {
@@ -129,15 +121,6 @@ func NewNetworkServer(net *nn.Network, maxBatch int) (*Server, error) {
 	}
 	return NewServer(net, net.InDim, net.OutDim(), maxBatch)
 }
-
-// InDim returns the per-request input width.
-func (s *Server) InDim() int { return s.inDim }
-
-// OutDim returns the per-request output width.
-func (s *Server) OutDim() int { return s.outDim }
-
-// MaxBatch returns the flush cap.
-func (s *Server) MaxBatch() int { return s.maxBatch }
 
 // Stats returns a snapshot of the traffic counters.
 func (s *Server) Stats() Stats {

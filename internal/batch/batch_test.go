@@ -52,9 +52,9 @@ func TestServerMatchesPredict1(t *testing.T) {
 			defer wg.Done()
 			defer cl.Close()
 			r := rng.New(uint64(100 + id))
-			in := make([]float64, srv.InDim())
-			out := make([]float64, srv.OutDim())
-			want := make([]float64, srv.OutDim())
+			in := make([]float64, srv.inDim)
+			out := make([]float64, srv.outDim)
+			want := make([]float64, srv.outDim)
 			for round := 0; round < rounds; round++ {
 				for i := range in {
 					in[i] = r.NormFloat64()
@@ -110,8 +110,8 @@ func TestSingleClientDegeneratesToPerCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	in := make([]float64, srv.InDim())
-	out := make([]float64, srv.OutDim())
+	in := make([]float64, srv.inDim)
+	out := make([]float64, srv.outDim)
 	for i := 0; i < 10; i++ {
 		if err := cl.Predict(in, out); err != nil {
 			t.Fatal(err)
@@ -142,8 +142,8 @@ func TestMaxBatchCap(t *testing.T) {
 		go func(cl *Client) {
 			defer wg.Done()
 			defer cl.Close()
-			in := make([]float64, srv.InDim())
-			out := make([]float64, srv.OutDim())
+			in := make([]float64, srv.inDim)
+			out := make([]float64, srv.outDim)
 			for i := 0; i < 20; i++ {
 				if err := cl.Predict(in, out); err != nil {
 					t.Error(err)
@@ -169,8 +169,8 @@ func TestClientLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make([]float64, srv.InDim())
-	out := make([]float64, srv.OutDim())
+	in := make([]float64, srv.inDim)
+	out := make([]float64, srv.outDim)
 	if err := cl.Predict(in[:3], out); err == nil || !strings.Contains(err.Error(), "input length") {
 		t.Fatalf("short input: err = %v", err)
 	}

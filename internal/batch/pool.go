@@ -96,20 +96,6 @@ func (p *Pool) Solver(key string, build func() (*Solver, error)) (*Solver, error
 	return s, nil
 }
 
-// Len reports how many solvers the pool currently holds (completed
-// builds only).
-func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, e := range p.entries {
-		if !e.building {
-			n++
-		}
-	}
-	return n
-}
-
 // Close stops every pooled solver and rejects further requests. Callers
 // must have finished their sweeps first (a solver's clients must be
 // closed before its server — the usual Solver.Close contract). Close is

@@ -7,6 +7,20 @@ import (
 	"testing"
 )
 
+// Len reports how many solvers the pool currently holds (completed
+// builds only).
+func (p *Pool) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, e := range p.entries {
+		if !e.building {
+			n++
+		}
+	}
+	return n
+}
+
 // slotPred is a trivial predictor for pool plumbing tests.
 type slotPred struct{}
 

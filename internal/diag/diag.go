@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"dlpic/internal/fft"
 	"dlpic/internal/grid"
@@ -265,27 +264,4 @@ func VelocitySpread(v []float64) float64 {
 		return ss / float64(len(xs))
 	}
 	return math.Sqrt((sd(pos) + sd(neg)) / 2)
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation; xs is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }

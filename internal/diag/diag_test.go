@@ -227,28 +227,3 @@ func TestVelocitySpread(t *testing.T) {
 		t.Errorf("spread %v, want 0.01", s)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Errorf("p100 = %v", p)
-	}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Errorf("p50 = %v", p)
-	}
-	if p := Percentile(xs, 25); p != 2 {
-		t.Errorf("p25 = %v", p)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile should be NaN")
-	}
-	// Input must not be modified.
-	xs2 := []float64{3, 1, 2}
-	Percentile(xs2, 50)
-	if xs2[0] != 3 || xs2[1] != 1 || xs2[2] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}

@@ -20,6 +20,13 @@ import (
 	"dlpic/internal/sweep"
 )
 
+// Entries returns the cached fingerprints, least recently used first.
+func (c *BundleCache) Entries() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.lru...)
+}
+
 // writeBundle writes fake bundle bytes under a store-shaped name and
 // returns (path, ref).
 func writeBundle(t *testing.T, dir, method, fingerprint string, data []byte) (string, BundleRef) {

@@ -62,13 +62,6 @@ func (c *BundleCache) path(fp string) string {
 	return filepath.Join(c.dir, fp+bundleExt)
 }
 
-// Entries returns the cached fingerprints, least recently used first.
-func (c *BundleCache) Entries() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.lru...)
-}
-
 // touchLocked moves fp to the most-recently-used end (appending it if
 // absent). Callers hold c.mu.
 func (c *BundleCache) touchLocked(fp string) {

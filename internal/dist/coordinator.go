@@ -81,8 +81,8 @@ type Coordinator struct {
 
 // NewCoordinator plans spec's cells, opens (or resumes) the campaign
 // journal at journalPath and the lease log next to it, and returns a
-// coordinator ready to serve Claim/Heartbeat/Complete. Cells the
-// journal already settles (successes, failures out of attempts) are
+// coordinator ready to serve ClaimBatch/HeartbeatBatch/Complete. Cells
+// the journal already settles (successes, failures out of attempts) are
 // restored bit-identically and never re-leased; unexpired leases from
 // a previous coordinator incarnation stay with their workers.
 //
@@ -201,29 +201,20 @@ func (c *Coordinator) interruptedLocked() bool {
 	return c.spec.Interrupt != nil && c.spec.Interrupt()
 }
 
-// Claim leases the first eligible pending cell to worker: not settled,
-// not currently leased, past its transient-failure backoff gate, and
-// runnable by one of the worker's methods (an empty methods list
-// accepts anything). It returns the grant, or (nil, false) when
-// nothing is claimable right now — retry later — or (nil, true) when
-// every cell is settled and the campaign is finishing.
-func (c *Coordinator) Claim(worker string, methods []string) (*Grant, bool, error) {
-	grants, done, err := c.ClaimBatch(worker, methods, 1)
-	if len(grants) > 0 {
-		return grants[0], done, err
-	}
-	return nil, done, err
-}
-
 // ClaimBatch leases up to max eligible pending cells to worker in one
-// call, amortizing the per-claim round-trip across the batch. Each
+// call, amortizing the per-claim round-trip across the batch. A cell is
+// eligible when it is not settled, not currently leased, past its
+// transient-failure backoff gate, and runnable by one of the worker's
+// methods (an empty methods list accepts anything). Each
 // granted cell carries its own lease: expiry, heartbeat and completion
 // accounting stay cell-granular, so one lease of a batch expiring (or
 // failing) never releases its siblings. The effective batch size is
 // worker-count-aware — capped at the pending pool divided by the
 // number of distinct claimants seen so far — so a fleet's tail is
-// spread across workers instead of queueing behind one batch. The
-// bool result means the same as Claim's: every cell is settled.
+// spread across workers instead of queueing behind one batch. No
+// grants and a false bool mean nothing is claimable right now — retry
+// later; a true bool means every cell is settled and the campaign is
+// finishing.
 func (c *Coordinator) ClaimBatch(worker string, methods []string, max int) ([]*Grant, bool, error) {
 	if max <= 0 {
 		max = 1
@@ -292,26 +283,6 @@ func (c *Coordinator) ClaimBatch(worker string, methods []string, max int) ([]*G
 		})
 	}
 	return grants, false, nil
-}
-
-// Heartbeat extends a live lease by the TTL and returns the new TTL.
-// A lease that expired, was reassigned, or predates a restart whose
-// log lost it gets ErrLeaseExpired: the worker must discard the cell.
-func (c *Coordinator) Heartbeat(lease string) (time.Duration, error) {
-	now := c.opts.Clock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, ErrLeaseExpired
-	}
-	c.expireStaleLocked(now)
-	cs, ok := c.byLease[lease]
-	if !ok {
-		return 0, ErrLeaseExpired
-	}
-	cs.expiry = now.Add(c.opts.LeaseTTL)
-	c.leases.append(leaseRecord{Event: leaseExtend, Lease: lease, ExpiryNS: cs.expiry.UnixNano()})
-	return c.opts.LeaseTTL, nil
 }
 
 // HeartbeatBatch extends every live lease in leases with one lock

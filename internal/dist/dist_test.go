@@ -19,6 +19,27 @@ import (
 	"dlpic/internal/sweep"
 )
 
+// Claim leases at most one cell through ClaimBatch: a nil grant with
+// false means nothing is claimable right now, true that every cell is
+// settled.
+func (c *Coordinator) Claim(worker string, methods []string) (*Grant, bool, error) {
+	grants, done, err := c.ClaimBatch(worker, methods, 1)
+	if len(grants) > 0 {
+		return grants[0], done, err
+	}
+	return nil, done, err
+}
+
+// Heartbeat extends one live lease through HeartbeatBatch and returns
+// the TTL, or ErrLeaseExpired when the lease is no longer current.
+func (c *Coordinator) Heartbeat(lease string) (time.Duration, error) {
+	ttl, expired := c.HeartbeatBatch([]string{lease})
+	if len(expired) > 0 {
+		return 0, ErrLeaseExpired
+	}
+	return ttl, nil
+}
+
 // fakeClock is a scripted Options.Clock: tests advance it to force
 // lease expiries without sleeping.
 type fakeClock struct {

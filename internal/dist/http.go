@@ -432,7 +432,3 @@ func writeJSON(w http.ResponseWriter, v any) {
 		_ = err
 	}
 }
-
-// LeaseTTL returns the hub's effective lease TTL (for display and
-// worker pacing defaults).
-func (h *Hub) LeaseTTL() time.Duration { return h.opts.LeaseTTL }

@@ -215,7 +215,7 @@ func TestBundleReuse_BundlePresentJournalMissing(t *testing.T) {
 			}
 			return built, nil
 		}
-		specs, cleanup, err := Methods(provider, []string{MethodMLP}, false, 0)
+		specs, cleanup, err := MethodsWith(provider, []string{MethodMLP}, MethodConfig{})
 		if err != nil {
 			t.Fatalf("Methods: %v", err)
 		}

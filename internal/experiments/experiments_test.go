@@ -176,7 +176,7 @@ func TestResolveMethodNames(t *testing.T) {
 // TestMethodsModelFreeWithoutPipeline: traditional and oracle resolve
 // with a nil pipeline, and the oracle factory builds a working method.
 func TestMethodsModelFreeWithoutPipeline(t *testing.T) {
-	specs, cleanup, err := Methods(nil, []string{MethodTraditional, MethodOracle}, false, 0)
+	specs, cleanup, err := MethodsWith(nil, []string{MethodTraditional, MethodOracle}, MethodConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestMethodsModelFreeWithoutPipeline(t *testing.T) {
 	if specs[0].Factory != nil || specs[0].Batcher != nil {
 		t.Fatal("traditional spec must be the zero method")
 	}
-	sc := sweep.Scenario{Name: "s", Cfg: BaseConfig(false), Steps: 3}
+	sc := sweep.Scenario{Name: "s", Cfg: Options{}.BaseConfig(), Steps: 3}
 	sc.Cfg.ParticlesPerCell = 20
 	m, err := specs[1].Factory(sc)
 	if err != nil {
@@ -197,7 +197,7 @@ func TestMethodsModelFreeWithoutPipeline(t *testing.T) {
 		t.Fatalf("oracle factory built %q", m.Name())
 	}
 	// DL methods without a pipeline provider are a hard error.
-	if _, _, err := Methods(nil, []string{MethodMLP}, false, 0); err == nil {
+	if _, _, err := MethodsWith(nil, []string{MethodMLP}, MethodConfig{}); err == nil {
 		t.Fatal("mlp resolved without a pipeline provider")
 	}
 }
@@ -209,7 +209,7 @@ func TestMethodsDLFromPipeline(t *testing.T) {
 	p := getPipeline(t)
 	sc := sweep.Grid(p.Cfg, []float64{0.2}, []float64{0.01}, 1, 4, 13)
 	run := func(batched bool) []sweep.Result {
-		specs, cleanup, err := Methods(FixedPipeline(p), []string{MethodTraditional, MethodMLP, MethodCNN}, batched, 0)
+		specs, cleanup, err := MethodsWith(FixedPipeline(p), []string{MethodTraditional, MethodMLP, MethodCNN}, MethodConfig{Batched: batched})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -152,24 +152,18 @@ func BundleMethod(name, path string) (sweep.MethodSpec, error) {
 	}}, nil
 }
 
-// Methods resolves method names into the sweep method registry of a
+// MethodsWith resolves method names into the sweep method registry of a
 // comparison campaign. provider supplies the trained solvers on first
 // DL use; it may be nil when only model-free methods (traditional,
-// oracle) are requested. With batched set, the DL methods route their
-// field solves through shared batched-inference servers (maxBatch <= 0
-// selects the default flush cap) instead of cloning one solver per
-// scenario — results are bit-identical either way. The returned
-// cleanup releases any batched backends and must be called after the
-// sweeps using the specs have returned (it is a no-op when none were
-// built).
-func Methods(provider PipelineProvider, names []string, batched bool, maxBatch int) (specs []sweep.MethodSpec, cleanup func(), err error) {
-	return MethodsWith(provider, names, MethodConfig{Batched: batched, MaxBatch: maxBatch})
-}
-
-// MethodsWith is Methods with the full MethodConfig seam, including
-// pool-shared batched backends. With mc.Pool set the returned cleanup
-// does not close pooled servers — they stay live for other campaigns
-// and are released by Pool.Close when the owning service drains.
+// oracle) are requested. With mc.Batched set, the DL methods route
+// their field solves through shared batched-inference servers
+// (mc.MaxBatch <= 0 selects the default flush cap) instead of cloning
+// one solver per scenario — results are bit-identical either way. The
+// returned cleanup releases any batched backends and must be called
+// after the sweeps using the specs have returned (it is a no-op when
+// none were built). With mc.Pool set it does not close pooled servers
+// — they stay live for other campaigns and are released by Pool.Close
+// when the owning service drains.
 func MethodsWith(provider PipelineProvider, names []string, mc MethodConfig) (specs []sweep.MethodSpec, cleanup func(), err error) {
 	if mc.Pool != nil && !mc.Batched {
 		return nil, func() {}, fmt.Errorf("experiments: MethodConfig.Pool requires Batched")

@@ -21,7 +21,6 @@ import (
 
 	"dlpic/internal/core"
 	"dlpic/internal/dataset"
-	"dlpic/internal/interp"
 	"dlpic/internal/nn"
 	"dlpic/internal/phasespace"
 	"dlpic/internal/pic"
@@ -138,11 +137,6 @@ func (o Options) scale() Scale {
 	}
 }
 
-// BaseConfig returns the PIC configuration for the chosen scale.
-func BaseConfig(paper bool) pic.Config {
-	return baseConfig(map[bool]Scale{true: ScalePaper, false: ScaleDefault}[paper])
-}
-
 // BaseConfig returns the base PIC configuration the pipeline of these
 // options would use — a pure function of the scale, available without
 // generating a corpus or training. Campaign scans use it to build the
@@ -166,15 +160,6 @@ func baseConfig(sc Scale) pic.Config {
 		cfg.ParticlesPerCell = 30
 	}
 	return cfg
-}
-
-// SweepOpts returns the corpus sweep for the chosen scale.
-func SweepOpts(cfg pic.Config, spec phasespace.GridSpec, paper bool, seed uint64) dataset.GenerateOpts {
-	sc := ScaleDefault
-	if paper {
-		sc = ScalePaper
-	}
-	return sweepOpts(cfg, spec, sc, seed)
 }
 
 func sweepOpts(cfg pic.Config, spec phasespace.GridSpec, sc Scale, seed uint64) dataset.GenerateOpts {
@@ -397,12 +382,4 @@ func (p *Pipeline) ColdBeamConfig(seed uint64) pic.Config {
 	cfg.Vth = 0.0
 	cfg.Seed = seed
 	return cfg
-}
-
-// NGP returns a copy of the pipeline's binning with NGP (the paper's
-// choice); CIC switches to the higher-order binning extension.
-func (p *Pipeline) BinningVariant(scheme interp.Scheme) phasespace.GridSpec {
-	spec := p.Spec
-	spec.Binning = scheme
-	return spec
 }

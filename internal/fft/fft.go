@@ -249,18 +249,3 @@ func Amplitudes(amp []float64, x []float64, p *Plan) []float64 {
 	}
 	return amp
 }
-
-// DFTSlow is a direct O(n^2) reference transform used by tests.
-func DFTSlow(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
-			sum += x[j] * complex(math.Cos(ang), math.Sin(ang))
-		}
-		out[k] = sum
-	}
-	return out
-}

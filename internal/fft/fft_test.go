@@ -11,6 +11,22 @@ import (
 
 const tol = 1e-9
 
+// DFTSlow is a direct O(n^2) reference transform: the oracle the
+// FFT plans are tested against.
+func DFTSlow(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for j := 0; j < n; j++ {
+			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
+			sum += x[j] * complex(math.Cos(ang), math.Sin(ang))
+		}
+		out[k] = sum
+	}
+	return out
+}
+
 func approxEqual(a, b complex128, eps float64) bool {
 	return cmplx.Abs(a-b) <= eps
 }

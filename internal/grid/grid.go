@@ -29,6 +29,8 @@ func New(n int, length float64) (*Grid, error) {
 }
 
 // MustNew is New that panics on error, for static configurations.
+//
+//deadcode:keep grid, interp, mover, poisson and diag tests build their fixed grids with it
 func MustNew(n int, length float64) *Grid {
 	g, err := New(n, length)
 	if err != nil {

@@ -47,27 +47,6 @@ func TestDepositBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func TestDepositWeightedBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	g := grid.MustNew(32, 2.0)
-	pos := detRandomPositions(30000, g.Length())
-	r := rng.New(7)
-	weight := make([]float64, len(pos))
-	for i := range weight {
-		weight[i] = r.NormFloat64()
-	}
-	ref := make([]float64, g.N())
-	withProcs(t, 1, func() { DepositWeighted(CIC, g, pos, weight, ref) })
-	for _, procs := range []int{2, 8} {
-		got := make([]float64, g.N())
-		withProcs(t, procs, func() { DepositWeighted(CIC, g, pos, weight, got) })
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("GOMAXPROCS=%d: rho[%d] = %v != serial %v", procs, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
 func TestGatherBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	g := grid.MustNew(64, 1.0)
 	pos := detRandomPositions(40000, g.Length())

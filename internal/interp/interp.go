@@ -65,18 +65,6 @@ func ParseScheme(s string) (Scheme, error) {
 // Valid reports whether s is a defined scheme.
 func (s Scheme) Valid() bool { return s == NGP || s == CIC || s == TSC }
 
-// Support returns the number of grid nodes a particle touches.
-func (s Scheme) Support() int {
-	switch s {
-	case NGP:
-		return 1
-	case CIC:
-		return 2
-	default:
-		return 3
-	}
-}
-
 // weights computes, for a particle at position x on grid g, the leftmost
 // touched node index and the per-node weights w (sum 1). The node index
 // may be negative or >= N; callers wrap modulo N.
@@ -223,32 +211,5 @@ func depositCIC(g *grid.Grid, pos, acc []float64) {
 		frac := h - float64(i)
 		acc[wrapNode(i, n)] += 1 - frac
 		acc[wrapNode(i+1, n)] += frac
-	}
-}
-
-// DepositWeighted is Deposit with a per-particle weight array (used for
-// mixed-charge populations and by tests); weight[p] multiplies particle
-// p's contribution, and the final density is divided by dx.
-func DepositWeighted(s Scheme, g *grid.Grid, pos, weight []float64, rho []float64) {
-	if len(rho) != g.N() {
-		panic(fmt.Sprintf("interp: DepositWeighted rho length %d, grid %d", len(rho), g.N()))
-	}
-	if len(weight) != len(pos) {
-		panic(fmt.Sprintf("interp: DepositWeighted weight length %d, pos %d", len(weight), len(pos)))
-	}
-	n := g.N()
-	parallel.ScatterReduce(len(pos), rho, func(acc []float64, start, end int) {
-		var w [3]float64
-		for p := start; p < end; p++ {
-			left, cnt := weights(s, g, pos[p], &w)
-			wp := weight[p]
-			for k := 0; k < cnt; k++ {
-				acc[wrapNode(left+k, n)] += w[k] * wp
-			}
-		}
-	})
-	invDx := 1 / g.Dx()
-	for i := range rho {
-		rho[i] *= invDx
 	}
 }

@@ -43,9 +43,14 @@ func TestParseScheme(t *testing.T) {
 	}
 }
 
+// Each scheme's weight kernel touches 1, 2 and 3 grid nodes.
 func TestSupport(t *testing.T) {
-	if NGP.Support() != 1 || CIC.Support() != 2 || TSC.Support() != 3 {
-		t.Fatalf("supports: %d %d %d", NGP.Support(), CIC.Support(), TSC.Support())
+	g := grid.MustNew(32, 2.0)
+	for s, want := range map[Scheme]int{NGP: 1, CIC: 2, TSC: 3} {
+		var w [3]float64
+		if _, cnt := weights(s, g, 0.77, &w); cnt != want {
+			t.Errorf("%v touches %d nodes, want %d", s, cnt, want)
+		}
 	}
 }
 
@@ -303,42 +308,6 @@ func TestGatherDepositAdjointProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDepositWeighted(t *testing.T) {
-	g := grid.MustNew(8, 8.0)
-	pos := []float64{1.0, 5.0}
-	wts := []float64{2.0, -1.0}
-	rho := make([]float64, 8)
-	DepositWeighted(NGP, g, pos, wts, rho)
-	if math.Abs(rho[1]-2.0) > 1e-12 || math.Abs(rho[5]+1.0) > 1e-12 {
-		t.Fatalf("rho = %v", rho)
-	}
-	if math.Abs(g.Integral(rho)-1.0) > 1e-12 {
-		t.Fatalf("total = %v, want 1", g.Integral(rho))
-	}
-}
-
-func TestDepositWeightedMatchesDepositWhenUniform(t *testing.T) {
-	g := grid.MustNew(16, 2.0)
-	r := rng.New(7)
-	pos := randomPositions(r, 200, g.Length())
-	q := 0.37
-	wts := make([]float64, len(pos))
-	for i := range wts {
-		wts[i] = q
-	}
-	for _, s := range allSchemes {
-		a := make([]float64, g.N())
-		b := make([]float64, g.N())
-		Deposit(s, g, pos, q, a)
-		DepositWeighted(s, g, pos, wts, b)
-		for i := range a {
-			if math.Abs(a[i]-b[i]) > 1e-12 {
-				t.Fatalf("%v: mismatch at %d: %v vs %v", s, i, a[i], b[i])
-			}
-		}
 	}
 }
 

@@ -1,8 +1,6 @@
-// Package mover implements the particle pushers of the PIC cycle
-// (paper Eqs. 1-2): the explicit leapfrog scheme used throughout the
-// experiments, and a Boris rotation pusher provided for the
-// electromagnetic extension path (it degenerates exactly to leapfrog at
-// B = 0, which the tests verify).
+// Package mover implements the particle pusher of the PIC cycle (paper
+// Eqs. 1-2): the explicit leapfrog scheme used throughout the
+// experiments.
 //
 // The leapfrog scheme staggers velocities half a step behind positions:
 //
@@ -81,50 +79,6 @@ func Drift(x, v []float64, dt float64, g *grid.Grid) {
 			xn := x[i] + v[i]*dt
 			// Fast wrap for the common one-period overshoot, falling back
 			// to the general wrap for large excursions.
-			if xn >= l {
-				xn -= l
-				if xn >= l {
-					xn = g.Wrap(xn)
-				}
-			} else if xn < 0 {
-				xn += l
-				if xn < 0 {
-					xn = g.Wrap(xn)
-				}
-			}
-			x[i] = xn
-		}
-	})
-}
-
-// Boris2V advances a 1D2V particle population (positions x, velocity
-// components vx, vy) under electric field ex at the particles and a
-// uniform perpendicular magnetic field bz, using the Boris scheme:
-// half electric kick, magnetic rotation, half electric kick, then drift
-// in x. At bz == 0 it is algebraically identical to leapfrog Kick+Drift.
-func Boris2V(x, vx, vy, ex []float64, qm, dt, bz float64, g *grid.Grid) {
-	if len(x) != len(vx) || len(vx) != len(vy) || len(vx) != len(ex) {
-		panic("mover: Boris2V length mismatch")
-	}
-	h := 0.5 * qm * dt
-	t := h * bz // rotation tangent
-	s := 2 * t / (1 + t*t)
-	l := g.Length()
-	parallel.For(len(x), func(start, end int) {
-		for i := start; i < end; i++ {
-			// Half electric kick (E is along x only in 1D electrostatics).
-			vmx := vx[i] + h*ex[i]
-			vmy := vy[i]
-			// Rotation: v' = vm + vm x t; v+ = vm + v' x s (2D reduction).
-			vpx := vmx + vmy*t
-			vpy := vmy - vmx*t
-			vplusX := vmx + vpy*s
-			vplusY := vmy - vpx*s
-			// Second half electric kick.
-			vx[i] = vplusX + h*ex[i]
-			vy[i] = vplusY
-			// Drift.
-			xn := x[i] + vx[i]*dt
 			if xn >= l {
 				xn -= l
 				if xn >= l {

@@ -148,73 +148,6 @@ func TestLeapfrogHarmonicStability(t *testing.T) {
 	}
 }
 
-func TestBoris2VZeroFieldReducesToLeapfrog(t *testing.T) {
-	g := grid.MustNew(16, 2.0)
-	r := rng.New(4)
-	n := 200
-	x1 := make([]float64, n)
-	vx1 := make([]float64, n)
-	vy := make([]float64, n)
-	ex := make([]float64, n)
-	for i := range x1 {
-		x1[i] = r.Float64() * g.Length()
-		vx1[i] = 0.1 * r.NormFloat64()
-		ex[i] = r.NormFloat64()
-	}
-	x2 := append([]float64(nil), x1...)
-	vx2 := append([]float64(nil), vx1...)
-	qm, dt := -1.0, 0.2
-	Boris2V(x1, vx1, vy, ex, qm, dt, 0, g)
-	Kick(vx2, ex, qm, dt)
-	Drift(x2, vx2, dt, g)
-	for i := range x1 {
-		if math.Abs(x1[i]-x2[i]) > 1e-13 || math.Abs(vx1[i]-vx2[i]) > 1e-13 {
-			t.Fatalf("Boris(B=0) != leapfrog at %d", i)
-		}
-	}
-	for i, v := range vy {
-		if v != 0 {
-			t.Fatalf("vy[%d] = %v, want 0", i, v)
-		}
-	}
-}
-
-// Pure magnetic rotation preserves speed exactly (Boris property).
-func TestBoris2VRotationPreservesSpeed(t *testing.T) {
-	g := grid.MustNew(16, 10.0)
-	x := []float64{5.0}
-	vx := []float64{0.3}
-	vy := []float64{0.4}
-	ex := []float64{0}
-	speed0 := math.Hypot(vx[0], vy[0])
-	for step := 0; step < 1000; step++ {
-		Boris2V(x, vx, vy, ex, -1.0, 0.1, 2.5, g)
-		if s := math.Hypot(vx[0], vy[0]); math.Abs(s-speed0) > 1e-12 {
-			t.Fatalf("speed drifted at step %d: %v vs %v", step, s, speed0)
-		}
-	}
-}
-
-// Boris gyration frequency matches omega_c = |q/m| B to second order.
-func TestBoris2VGyroFrequency(t *testing.T) {
-	g := grid.MustNew(16, 1000.0)
-	bz := 1.0
-	qm := -1.0
-	dt := 0.01
-	x := []float64{500}
-	vx := []float64{1}
-	vy := []float64{0}
-	ex := []float64{0}
-	// Advance one full analytic gyro-period; vx should return near 1.
-	steps := int(2 * math.Pi / (math.Abs(qm*bz) * dt))
-	for s := 0; s < steps; s++ {
-		Boris2V(x, vx, vy, ex, qm, dt, bz, g)
-	}
-	if math.Abs(vx[0]-1) > 5e-3 || math.Abs(vy[0]) > 5e-2 {
-		t.Fatalf("after one period: vx=%v vy=%v, want ~(1,0)", vx[0], vy[0])
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	g := grid.MustNew(8, 1.0)
 	assertPanics := func(name string, f func()) {
@@ -228,9 +161,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 	assertPanics("Kick", func() { Kick(make([]float64, 2), make([]float64, 3), 1, 1) })
 	assertPanics("KickHalf", func() { KickHalf(make([]float64, 2), make([]float64, 3), 1, 1) })
 	assertPanics("Drift", func() { Drift(make([]float64, 2), make([]float64, 3), 1, g) })
-	assertPanics("Boris2V", func() {
-		Boris2V(make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]float64, 3), 1, 1, 0, g)
-	})
 }
 
 func BenchmarkKick64k(b *testing.B) {

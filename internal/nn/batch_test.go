@@ -180,7 +180,7 @@ func TestCopiesBitIdenticalAndDeep(t *testing.T) {
 				// must not notice either.
 				x, y := randBatch(r, 8, cp.InDim), randBatch(r, 8, cp.OutDim())
 				if _, err := Fit(cp, x, y, nil, nil, TrainConfig{
-					Epochs: 2, BatchSize: 4, Optimizer: &SGD{LR: 0.05}, Loss: MSE{}, Seed: 3,
+					Epochs: 2, BatchSize: 4, Optimizer: NewAdam(0.05), Loss: MSE{}, Seed: 3,
 				}); err != nil {
 					t.Fatal(err)
 				}

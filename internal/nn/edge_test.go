@@ -130,7 +130,9 @@ func TestFitNonFiniteLossAborts(t *testing.T) {
 	// NaN firewall — the output layer is the exposed surface.
 	params := net.Params()
 	params[len(params)-2].W.Data[0] = math.NaN()
-	x.Fill(1) // ensure the poisoned weight is touched
+	for i := range x.Data {
+		x.Data[i] = 1 // ensure the poisoned weight is touched
+	}
 	_, err := Fit(net, x, y, nil, nil, TrainConfig{
 		Epochs: 2, BatchSize: 4, Optimizer: NewAdam(1e-3), Loss: MSE{},
 	})

@@ -7,9 +7,9 @@
 //
 // It substitutes for TensorFlow/Keras in the original work (the "no
 // mature DL training stack in Go" gate): layers implement explicit
-// forward/backward passes over batched row-major tensors, optimizers
-// implement SGD/momentum/Adam, and every gradient is property-tested
-// against finite differences.
+// forward/backward passes over batched row-major tensors, the optimizer
+// is the paper's Adam, and every gradient is property-tested against
+// finite differences.
 //
 // Layout conventions: a batch is a 2D tensor [batchSize, features].
 // Convolutional layers interpret the feature axis as C*H*W (channel

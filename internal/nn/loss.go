@@ -10,19 +10,16 @@ import (
 // Loss scores a batch of predictions against targets and produces the
 // gradient of the mean loss with respect to the predictions.
 type Loss interface {
-	// Forward returns the scalar batch loss and writes dL/dpred into
-	// grad (same shape as pred). Equivalent to ForwardShard with
-	// totalRows = pred.Rows().
-	Forward(pred, target, grad *tensor.Tensor) float64
-	// ForwardShard scores a shard of a larger minibatch: pred, target
-	// and grad hold only the shard's rows, while totalRows is the full
-	// batch's row count. Both the written gradients and the returned
-	// loss contribution are normalized by the full batch size, so (a)
-	// each row's gradient is bit-identical to the one the full-batch
-	// Forward would write for that row, and (b) summing the
-	// contributions of disjoint shards yields the full-batch loss.
-	// This is the seam the data-parallel training engine shards
-	// backpropagation through.
+	// ForwardShard returns the scalar loss of a shard of a larger
+	// minibatch and writes dL/dpred into grad (same shape as pred):
+	// pred, target and grad hold only the shard's rows, while totalRows
+	// is the full batch's row count (pred.Rows() scores a whole batch).
+	// Both the written gradients and the returned loss contribution are
+	// normalized by the full batch size, so (a) each row's gradient is
+	// bit-identical to the one the whole-batch call would write for that
+	// row, and (b) summing the contributions of disjoint shards yields
+	// the full-batch loss. This is the seam the data-parallel training
+	// engine shards backpropagation through.
 	ForwardShard(pred, target, grad *tensor.Tensor, totalRows int) float64
 	Name() string
 }
@@ -39,11 +36,6 @@ type MSE struct{}
 
 // Name implements Loss.
 func (MSE) Name() string { return "mse" }
-
-// Forward implements Loss.
-func (l MSE) Forward(pred, target, grad *tensor.Tensor) float64 {
-	return l.ForwardShard(pred, target, grad, pred.Rows())
-}
 
 // ForwardShard implements Loss.
 func (MSE) ForwardShard(pred, target, grad *tensor.Tensor, totalRows int) float64 {
@@ -64,11 +56,6 @@ type MAE struct{}
 
 // Name implements Loss.
 func (MAE) Name() string { return "mae" }
-
-// Forward implements Loss.
-func (l MAE) Forward(pred, target, grad *tensor.Tensor) float64 {
-	return l.ForwardShard(pred, target, grad, pred.Rows())
-}
 
 // ForwardShard implements Loss.
 func (MAE) ForwardShard(pred, target, grad *tensor.Tensor, totalRows int) float64 {
@@ -95,11 +82,6 @@ type Huber struct{ Delta float64 }
 
 // Name implements Loss.
 func (h Huber) Name() string { return fmt.Sprintf("huber(%g)", h.Delta) }
-
-// Forward implements Loss.
-func (h Huber) Forward(pred, target, grad *tensor.Tensor) float64 {
-	return h.ForwardShard(pred, target, grad, pred.Rows())
-}
 
 // ForwardShard implements Loss.
 func (h Huber) ForwardShard(pred, target, grad *tensor.Tensor, totalRows int) float64 {
@@ -149,11 +131,6 @@ type PhysicsMSE struct {
 // Name implements Loss.
 func (p PhysicsMSE) Name() string {
 	return fmt.Sprintf("physics-mse(div=%g,mean=%g)", p.LambdaDiv, p.LambdaMean)
-}
-
-// Forward implements Loss.
-func (p PhysicsMSE) Forward(pred, target, grad *tensor.Tensor) float64 {
-	return p.ForwardShard(pred, target, grad, pred.Rows())
 }
 
 // ForwardShard implements Loss. Every penalty is per-sample, so a

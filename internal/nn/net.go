@@ -97,13 +97,6 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// ZeroGrad clears every gradient accumulator.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.G.Zero()
-	}
-}
-
 // NumParams returns the total trainable scalar count.
 func (n *Network) NumParams() int {
 	total := 0

@@ -16,63 +16,6 @@ type Optimizer interface {
 	Name() string
 }
 
-// SGD is plain gradient descent: w -= lr * g.
-type SGD struct{ LR float64 }
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return fmt.Sprintf("sgd(lr=%g)", s.LR) }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		tensor.AddScaled(p.W, -s.LR, p.G)
-	}
-}
-
-// Momentum is SGD with classical momentum: v = mu*v + g; w -= lr*v.
-// Per-parameter state is keyed by the weight tensor, which is stable
-// across Params() calls.
-type Momentum struct {
-	LR, Mu float64
-	vel    map[*tensor.Tensor]*tensor.Tensor
-
-	// The parameter Step is updating, read by body. Step binds body
-	// once, so a warm Step allocates nothing.
-	vd, w, g []float64
-	body     func(s, e int)
-}
-
-// Name implements Optimizer.
-func (m *Momentum) Name() string { return fmt.Sprintf("momentum(lr=%g,mu=%g)", m.LR, m.Mu) }
-
-// Step implements Optimizer.
-func (m *Momentum) Step(params []*Param) {
-	if m.vel == nil {
-		m.vel = make(map[*tensor.Tensor]*tensor.Tensor)
-	}
-	if m.body == nil {
-		m.body = m.update
-	}
-	for _, p := range params {
-		v, ok := m.vel[p.W]
-		if !ok {
-			v = tensor.New(p.W.Shape...)
-			m.vel[p.W] = v
-		}
-		m.vd, m.w, m.g = v.Data, p.W.Data, p.G.Data
-		parallel.For(len(m.vd), m.body)
-	}
-}
-
-// update is Step's element loop over [s, e) of the current parameter.
-func (m *Momentum) update(s, e int) {
-	vel, w, g, mu, lr := m.vd, m.w, m.g, m.Mu, m.LR
-	for i := s; i < e; i++ {
-		vel[i] = mu*vel[i] + g[i]
-		w[i] -= lr * vel[i]
-	}
-}
-
 // Adam is the optimizer the paper trains with (lr = 1e-4, batch 64).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -146,14 +89,13 @@ func (a *Adam) update(s, e int) {
 // one). Fields are exported for gob; the type itself stays package
 // private — it only ever crosses a training checkpoint file.
 type optimizerState struct {
-	// Kind names the optimizer implementation ("sgd", "momentum",
-	// "adam"); restore refuses a mismatched kind.
+	// Kind names the optimizer implementation ("adam"); restore
+	// refuses a mismatched kind.
 	Kind string
 	// Step is the global step counter (Adam's bias-correction t).
 	Step int
-	// Vecs holds the per-parameter state vectors: none for SGD, one per
-	// parameter for Momentum (velocity), two per parameter for Adam
-	// (first and second moment, interleaved m0,v0,m1,v1,...).
+	// Vecs holds the per-parameter state vectors: two per parameter for
+	// Adam (first and second moment, interleaved m0,v0,m1,v1,...).
 	Vecs [][]float64
 }
 
@@ -200,40 +142,6 @@ func restoreVec(m map[*tensor.Tensor]*tensor.Tensor, w *tensor.Tensor, vec []flo
 	return nil
 }
 
-// captureState implements optimizerCheckpointer. SGD is stateless; the
-// snapshot records only the kind.
-func (s *SGD) captureState([]*Param) optimizerState { return optimizerState{Kind: "sgd"} }
-
-// restoreState implements optimizerCheckpointer.
-func (s *SGD) restoreState(params []*Param, st optimizerState) error {
-	return st.checkKind("sgd", params, 0)
-}
-
-// captureState implements optimizerCheckpointer: one velocity vector
-// per parameter, Params() order.
-func (m *Momentum) captureState(params []*Param) optimizerState {
-	st := optimizerState{Kind: "momentum", Vecs: make([][]float64, 0, len(params))}
-	for _, p := range params {
-		st.Vecs = append(st.Vecs, stateVec(m.vel, p.W))
-	}
-	return st
-}
-
-// restoreState implements optimizerCheckpointer.
-func (m *Momentum) restoreState(params []*Param, st optimizerState) error {
-	if err := st.checkKind("momentum", params, 1); err != nil {
-		return err
-	}
-	vel := make(map[*tensor.Tensor]*tensor.Tensor, len(params))
-	for i, p := range params {
-		if err := restoreVec(vel, p.W, st.Vecs[i], "momentum", i); err != nil {
-			return err
-		}
-	}
-	m.vel = vel
-	return nil
-}
-
 // captureState implements optimizerCheckpointer: the step counter plus
 // interleaved first/second-moment vectors, Params() order.
 func (a *Adam) captureState(params []*Param) optimizerState {
@@ -272,10 +180,6 @@ func (a *Adam) restoreState(params []*Param, st optimizerState) error {
 // epsilon drift the trajectory just as surely as the learning rate).
 func OptimizerDesc(o Optimizer) string {
 	switch v := o.(type) {
-	case *SGD:
-		return fmt.Sprintf("sgd(lr=%g)", v.LR)
-	case *Momentum:
-		return fmt.Sprintf("momentum(lr=%g,mu=%g)", v.LR, v.Mu)
 	case *Adam:
 		return fmt.Sprintf("adam(lr=%g,b1=%g,b2=%g,eps=%g)", v.LR, v.Beta1, v.Beta2, v.Eps)
 	default:

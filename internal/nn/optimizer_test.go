@@ -9,10 +9,9 @@ import (
 	"dlpic/internal/tensor"
 )
 
-// serialAdamStep, serialMomentumStep and serialSGDStep are the
-// optimizers' element loops as one serial pass per parameter: the
-// reference the team-run Step must match bit for bit. Each keeps its
-// state in slices parallel to params.
+// serialAdamStep is Adam's element loop as one serial pass per
+// parameter: the reference the team-run Step must match bit for bit.
+// It keeps its state in slices parallel to params.
 func serialAdamStep(a *Adam, t int, params []*Param, m, v [][]float64) {
 	b1c := 1 - math.Pow(a.Beta1, float64(t))
 	b2c := 1 - math.Pow(a.Beta2, float64(t))
@@ -24,23 +23,6 @@ func serialAdamStep(a *Adam, t int, params []*Param, m, v [][]float64) {
 			mHat := m[pi][i] / b1c
 			vHat := v[pi][i] / b2c
 			p.W.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
-	}
-}
-
-func serialMomentumStep(o *Momentum, params []*Param, vel [][]float64) {
-	for pi, p := range params {
-		for i := range vel[pi] {
-			vel[pi][i] = o.Mu*vel[pi][i] + p.G.Data[i]
-			p.W.Data[i] -= o.LR * vel[pi][i]
-		}
-	}
-}
-
-func serialSGDStep(o *SGD, params []*Param) {
-	for _, p := range params {
-		for i := range p.W.Data {
-			p.W.Data[i] += -o.LR * p.G.Data[i]
 		}
 	}
 }
@@ -82,8 +64,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestOptimizerStepMatchesSerialAtAnyProcs runs Adam, Momentum and SGD
-// for several steps at GOMAXPROCS 1, 2 and 4 and requires weights and
+// TestOptimizerStepMatchesSerialAtAnyProcs runs Adam for several steps at GOMAXPROCS 1, 2 and 4 and requires weights and
 // optimizer state bitwise equal to the serial element loops: the worker
 // team splits each parameter's elements, and no element's arithmetic
 // may depend on where the split falls.
@@ -110,43 +91,17 @@ func TestOptimizerStepMatchesSerialAtAnyProcs(t *testing.T) {
 			sameBits(t, "adam m", adam.m[got[i].W].Data, m[i])
 			sameBits(t, "adam v", adam.v[got[i].W].Data, v[i])
 		}
-
-		got, want = optParams(6), optParams(6)
-		mom := &Momentum{LR: 1e-2, Mu: 0.9}
-		vel := make([][]float64, len(want))
-		for i, p := range want {
-			vel[i] = make([]float64, p.W.Len())
-		}
-		for range steps {
-			mom.Step(got)
-			serialMomentumStep(mom, want, vel)
-		}
-		for i := range want {
-			sameBits(t, "momentum weights", got[i].W.Data, want[i].W.Data)
-			sameBits(t, "momentum velocity", mom.vel[got[i].W].Data, vel[i])
-		}
-
-		got, want = optParams(7), optParams(7)
-		sgd := &SGD{LR: 1e-2}
-		for range steps {
-			sgd.Step(got)
-			serialSGDStep(sgd, want)
-		}
-		for i := range want {
-			sameBits(t, "sgd weights", got[i].W.Data, want[i].W.Data)
-		}
 	}
 }
 
-// TestOptimizerStepAllocatesNothing: once an optimizer holds its state,
-// a Step allocates nothing — the team loop's body is bound once, not
-// built per parameter.
+// TestOptimizerStepAllocatesNothing: once Adam holds its state, a Step
+// allocates nothing — the team loop's body is bound once, not built
+// per parameter.
 func TestOptimizerStepAllocatesNothing(t *testing.T) {
-	for _, o := range []Optimizer{NewAdam(1e-3), &Momentum{LR: 1e-2, Mu: 0.9}, &SGD{LR: 1e-2}} {
-		params := optParams(8)
-		o.Step(params)
-		if n := testing.AllocsPerRun(10, func() { o.Step(params) }); n != 0 {
-			t.Errorf("%s: %v allocations per Step, want 0", o.Name(), n)
-		}
+	o := NewAdam(1e-3)
+	params := optParams(8)
+	o.Step(params)
+	if n := testing.AllocsPerRun(10, func() { o.Step(params) }); n != 0 {
+		t.Errorf("%s: %v allocations per Step, want 0", o.Name(), n)
 	}
 }

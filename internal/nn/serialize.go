@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-
-	"dlpic/internal/tensor"
 )
 
 // The on-disk format is a gob-encoded netFile: an architecture spec
@@ -225,87 +222,4 @@ func Clone(net *Network) (*Network, error) {
 		return nil, err
 	}
 	return netFromFile(file)
-}
-
-// SaveFile saves the network to path.
-func SaveFile(net *Network, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := Save(net, f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile loads a network from path.
-func LoadFile(path string) (*Network, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-// GradCheck compares the analytic gradient of net's parameters (under
-// loss) against central finite differences on a given batch. It returns
-// the largest relative error encountered over a sample of parameter
-// entries (stride subsamples large tensors). Used by the test suite for
-// every layer type.
-func GradCheck(net *Network, loss Loss, x, y *tensor.Tensor, eps float64, stride int) float64 {
-	if stride < 1 {
-		stride = 1
-	}
-	pred := net.Forward(x)
-	grad := tensor.New(pred.Shape...)
-	loss.Forward(pred, y, grad)
-	net.ZeroGrad()
-	net.Backward(grad)
-	// Snapshot analytic gradients (optimizer-free), keyed by the stable
-	// weight tensor pointer (Params() returns fresh Param structs).
-	analytic := map[*tensor.Tensor][]float64{}
-	for _, p := range net.Params() {
-		analytic[p.W] = append([]float64(nil), p.G.Data...)
-	}
-	var worst float64
-	for _, p := range net.Params() {
-		for i := 0; i < p.W.Len(); i += stride {
-			orig := p.W.Data[i]
-			p.W.Data[i] = orig + eps
-			lp := evalLoss(net, loss, x, y)
-			p.W.Data[i] = orig - eps
-			lm := evalLoss(net, loss, x, y)
-			p.W.Data[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			a := analytic[p.W][i]
-			denom := maxf(1e-8, maxf(absf(a), absf(numeric)))
-			if rel := absf(a-numeric) / denom; rel > worst && absf(a-numeric) > 1e-9 {
-				worst = rel
-			}
-		}
-	}
-	return worst
-}
-
-func evalLoss(net *Network, loss Loss, x, y *tensor.Tensor) float64 {
-	pred := net.Forward(x)
-	grad := tensor.New(pred.Shape...)
-	return loss.Forward(pred, y, grad)
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

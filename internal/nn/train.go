@@ -54,7 +54,7 @@ type TrainConfig struct {
 	// (weights, optimizer moments, RNG/shuffle cursor, History) is
 	// written atomically to Checkpoint.Path, and ResumeFit continues
 	// from it bit-identically. Requires an optimizer whose state can
-	// be serialized (SGD, Momentum, Adam).
+	// be serialized (Adam; any other Optimizer is refused).
 	Checkpoint Checkpoint
 }
 

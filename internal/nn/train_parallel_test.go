@@ -184,7 +184,7 @@ func TestFitShardedPhysicsLoss(t *testing.T) {
 }
 
 // ForwardShard over disjoint shards must reproduce the full-batch
-// Forward: summed loss equal, per-row gradients bit-identical.
+// call: summed loss equal, per-row gradients bit-identical.
 func TestLossForwardShardConsistency(t *testing.T) {
 	r := rng.New(940)
 	const rows, cols = 11, 8
@@ -194,7 +194,7 @@ func TestLossForwardShardConsistency(t *testing.T) {
 		PhysicsMSE{Dx: 0.1, LambdaDiv: 0.4, LambdaMean: 0.3}}
 	for _, l := range losses {
 		full := tensor.New(rows, cols)
-		wantLoss := l.Forward(pred, targ, full)
+		wantLoss := l.ForwardShard(pred, targ, full, rows)
 		var gotLoss float64
 		got := tensor.New(rows, cols)
 		for _, bounds := range [][2]int{{0, 4}, {4, 9}, {9, rows}} {
@@ -220,11 +220,6 @@ func TestLossForwardShardConsistency(t *testing.T) {
 type countingLoss struct {
 	MSE
 	rows *int
-}
-
-func (c countingLoss) Forward(pred, target, grad *tensor.Tensor) float64 {
-	*c.rows += pred.Rows()
-	return c.MSE.Forward(pred, target, grad)
 }
 
 func (c countingLoss) ForwardShard(pred, target, grad *tensor.Tensor, totalRows int) float64 {
@@ -287,7 +282,7 @@ func TestShardEngineUnknownLayer(t *testing.T) {
 	x := tensor.New(3, 2)
 	y := tensor.New(3, 2)
 	if _, err := Fit(net, x, y, nil, nil, TrainConfig{
-		Epochs: 1, BatchSize: 2, Optimizer: &SGD{LR: 0.1}, Loss: MSE{},
+		Epochs: 1, BatchSize: 2, Optimizer: NewAdam(0.1), Loss: MSE{},
 	}); err == nil {
 		t.Error("Fit should refuse a net with unreplicable layers")
 	}

@@ -48,25 +48,6 @@ func TestChunkBoundsPartition(t *testing.T) {
 	}
 }
 
-func TestForChunksCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 100, chunkGrain, 3*chunkGrain + 5, 200000} {
-		seen := make([]int32, n)
-		k := ForChunks(n, func(chunk, start, end int) {
-			for i := start; i < end; i++ {
-				atomic.AddInt32(&seen[i], 1)
-			}
-		})
-		if k != NumChunks(n) {
-			t.Fatalf("n=%d: ForChunks returned %d chunks, want %d", n, k, NumChunks(n))
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}
-
 // scatterFixture deposits pseudo-random contributions into a small
 // accumulator; FP addition order matters, so it detects any change in
 // the partial-sum structure.

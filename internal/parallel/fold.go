@@ -148,10 +148,3 @@ func (f *OrderedFold) Deliver(c int, buf []float64) {
 		f.next++
 	}
 }
-
-// Folded reports how many chunks have been folded into out so far.
-func (f *OrderedFold) Folded() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.next
-}

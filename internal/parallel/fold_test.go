@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// Folded reports how many chunks have been folded into out so far.
+func (f *OrderedFold) Folded() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.next
+}
+
 func TestChunkBoundsCoversRange(t *testing.T) {
 	for _, tc := range []struct{ n, k int }{{10, 3}, {64, 8}, {7, 7}, {100, 1}} {
 		prev := 0

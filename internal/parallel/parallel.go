@@ -3,7 +3,7 @@
 //
 // # Determinism
 //
-// With the chunked primitives (ForChunks, ScatterReduce, ReduceSums) the
+// With the chunked primitives (ScatterReduce, ReduceSums) the
 // range [0, n) is split into a fixed number of chunks that depends only
 // on n — never on GOMAXPROCS — and per-chunk partial results are
 // combined in chunk-index order. Because both the partial sums and the
@@ -25,7 +25,7 @@
 // A PIC step is four or five such loops of 50–150 µs each. Starting
 // goroutines for every one of them means waking a sleeping thread every
 // time, and that wake-up costs about as much as the second processor
-// saves. So the fine-grained loops (For, ForThreshold, ForChunks, the
+// saves. So the fine-grained loops (For, ForThreshold, the
 // scatter primitives) share one persistent team instead: GOMAXPROCS−1
 // helper goroutines, started the first time they are wanted and kept
 // for the life of the process. Four rules govern it.
@@ -186,20 +186,6 @@ func chunkBounds(n, k, c int) (start, end int) {
 	start = rem*(base+1) + (c-rem)*base
 	end = start + base
 	return
-}
-
-// ForChunks runs body(chunk, start, end) for every chunk of [0, n), the
-// calling goroutine taking chunks from the front and the team's helpers
-// from the back. The decomposition depends only on n, so the set of
-// (chunk, start, end) calls is identical at every GOMAXPROCS. It
-// returns the chunk count so callers can reduce per-chunk partials in
-// chunk order.
-func ForChunks(n int, body func(chunk, start, end int)) int {
-	k := NumChunks(n)
-	if k > 0 {
-		runChunks(job{kind: chunkJob, n: n, k: k, chunkBody: body})
-	}
-	return k
 }
 
 // runChunks runs a chunk-indexed job over all its chunks: on the team

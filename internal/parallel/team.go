@@ -13,8 +13,6 @@ const (
 	// rangeJob is ForThreshold: index i is the piece [i*k, (i+1)*k) of
 	// [0, n), the last one cut at n.
 	rangeJob jobKind = iota
-	// chunkJob is ForChunks: index c is chunk c of NumChunks(n).
-	chunkJob
 	// scatterJob is ScatterReduce: chunk c accumulates into row c of buf.
 	scatterJob
 	// countJob is ScatterCount: a chunk accumulates into the row of the
@@ -31,7 +29,6 @@ type job struct {
 	n, k int // range length; chunk count, or piece length for rangeJob
 
 	rangeBody func(start, end int)
-	chunkBody func(chunk, start, end int)
 	accBody   func(acc []float64, start, end int)
 	out, buf  []float64 // accBody's accumulators: buf is rows of len(out)
 }
@@ -51,8 +48,6 @@ func (j *job) run(worker, i int) {
 	start, end := chunkBounds(j.n, j.k, i)
 	width := len(j.out)
 	switch j.kind {
-	case chunkJob:
-		j.chunkBody(i, start, end)
 	case scatterJob:
 		j.accBody(j.buf[i*width:(i+1)*width], start, end)
 	case countJob:
@@ -290,6 +285,8 @@ type TeamCounters struct {
 }
 
 // TeamStats returns the worker team's counters.
+//
+//deadcode:keep A.2: /metrics exports these; until then the team tests read them
 func TeamStats() TeamCounters {
 	return TeamCounters{
 		Dispatches: crew.dispatches.Load(),

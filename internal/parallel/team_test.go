@@ -26,14 +26,6 @@ func primitives(n int) map[string][]float64 {
 	})
 	res["For"] = forOut
 
-	partial := make([]float64, NumChunks(n))
-	ForChunks(n, func(chunk, start, end int) {
-		for i := start; i < end; i++ {
-			partial[chunk] += term(i)
-		}
-	})
-	res["ForChunks"] = partial
-
 	res["ScatterReduce"] = scatterFixture(n, width)
 
 	count := make([]float64, width)
@@ -371,7 +363,6 @@ func TestDispatchDoesNotAllocate(t *testing.T) {
 			x[i]++
 		}
 	}
-	chunkBody := func(chunk, start, end int) { x[start]++ }
 	accBody := func(acc []float64, start, end int) {
 		for i := start; i < end; i++ {
 			acc[i%width]++
@@ -380,7 +371,6 @@ func TestDispatchDoesNotAllocate(t *testing.T) {
 	withGOMAXPROCS(t, 2, func() {
 		for name, loop := range map[string]func(){
 			"For":           func() { For(n, rangeBody) },
-			"ForChunks":     func() { ForChunks(n, chunkBody) },
 			"ScatterReduce": func() { ScatterReduce(n, out, accBody) },
 			"ScatterCount":  func() { ScatterCount(n, out, accBody) },
 		} {

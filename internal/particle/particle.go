@@ -28,16 +28,6 @@ type Population struct {
 // N returns the particle count.
 func (p *Population) N() int { return len(p.X) }
 
-// Clone returns a deep copy of the population.
-func (p *Population) Clone() *Population {
-	q := &Population{
-		X:      append([]float64(nil), p.X...),
-		V:      append([]float64(nil), p.V...),
-		Charge: p.Charge, Mass: p.Mass, QOverM: p.QOverM,
-	}
-	return q
-}
-
 // TwoStreamOpts configures the two counter-streaming electron beams.
 type TwoStreamOpts struct {
 	// N is the total macro-particle count, split evenly between the two
@@ -133,88 +123,4 @@ func LoadTwoStream(o TwoStreamOpts, r *rng.Source) (*Population, error) {
 		p.V[i] = v
 	}
 	return p, nil
-}
-
-// MaxwellianOpts configures a single thermal population (used by the
-// Landau-damping style examples and by tests).
-type MaxwellianOpts struct {
-	N            int
-	L            float64
-	VDrift, Vth  float64
-	PerturbAmp   float64
-	PerturbMode  int
-	Charge, Mass float64
-}
-
-// LoadMaxwellian creates a drifting Maxwellian population.
-func LoadMaxwellian(o MaxwellianOpts, r *rng.Source) (*Population, error) {
-	if o.N <= 0 {
-		return nil, fmt.Errorf("particle: maxwellian N must be positive, got %d", o.N)
-	}
-	if !(o.L > 0) {
-		return nil, fmt.Errorf("particle: maxwellian L must be positive, got %v", o.L)
-	}
-	if o.Vth < 0 {
-		return nil, fmt.Errorf("particle: negative thermal speed %v", o.Vth)
-	}
-	if o.Mass == 0 {
-		return nil, fmt.Errorf("particle: zero macro-particle mass")
-	}
-	p := &Population{
-		X:      make([]float64, o.N),
-		V:      make([]float64, o.N),
-		Charge: o.Charge,
-		Mass:   o.Mass,
-		QOverM: o.Charge / o.Mass,
-	}
-	for i := 0; i < o.N; i++ {
-		x := r.Float64() * o.L
-		if o.PerturbAmp != 0 && o.PerturbMode > 0 {
-			x += o.PerturbAmp * math.Sin(2*math.Pi*float64(o.PerturbMode)*x/o.L)
-			x = math.Mod(x, o.L)
-			if x < 0 {
-				x += o.L
-			}
-		}
-		p.X[i] = x
-		p.V[i] = o.VDrift + o.Vth*r.NormFloat64()
-	}
-	return p, nil
-}
-
-// KineticEnergy returns sum(1/2 m v^2) over the population. The
-// time-centered variant used in production diagnostics lives in the
-// mover's kick (which sees both half-step velocities).
-func (p *Population) KineticEnergy() float64 {
-	var s float64
-	for _, v := range p.V {
-		s += v * v
-	}
-	return 0.5 * p.Mass * s
-}
-
-// Momentum returns sum(m v) over the population.
-func (p *Population) Momentum() float64 {
-	var s float64
-	for _, v := range p.V {
-		s += v
-	}
-	return p.Mass * s
-}
-
-// VelocityBounds returns the min and max velocity in the population.
-func (p *Population) VelocityBounds() (vmin, vmax float64) {
-	if p.N() == 0 {
-		return 0, 0
-	}
-	vmin, vmax = p.V[0], p.V[0]
-	for _, v := range p.V[1:] {
-		if v < vmin {
-			vmin = v
-		}
-		if v > vmax {
-			vmax = v
-		}
-	}
-	return vmin, vmax
 }

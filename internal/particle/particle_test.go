@@ -179,85 +179,3 @@ func TestLoadTwoStreamPerturbationSeedsChosenMode(t *testing.T) {
 		}
 	}
 }
-
-func TestLoadMaxwellian(t *testing.T) {
-	o := MaxwellianOpts{N: 100000, L: 4.0, VDrift: 0.5, Vth: 0.3, Charge: -1, Mass: 1}
-	p, err := LoadMaxwellian(o, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum, sumSq float64
-	for _, v := range p.V {
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / float64(o.N)
-	variance := sumSq/float64(o.N) - mean*mean
-	if math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("drift %v, want 0.5", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-0.3) > 0.01 {
-		t.Errorf("spread %v, want 0.3", math.Sqrt(variance))
-	}
-	for _, x := range p.X {
-		if x < 0 || x >= o.L {
-			t.Fatalf("position %v outside domain", x)
-		}
-	}
-}
-
-func TestLoadMaxwellianValidation(t *testing.T) {
-	bad := []MaxwellianOpts{
-		{N: 0, L: 1, Mass: 1},
-		{N: 10, L: 0, Mass: 1},
-		{N: 10, L: 1, Vth: -1, Mass: 1},
-		{N: 10, L: 1, Mass: 0},
-	}
-	for i, o := range bad {
-		if _, err := LoadMaxwellian(o, rng.New(1)); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	p, err := LoadTwoStream(baseOpts(), rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := p.Clone()
-	q.X[0] += 1
-	q.V[0] += 1
-	if p.X[0] == q.X[0] || p.V[0] == q.V[0] {
-		t.Fatal("Clone shares storage with original")
-	}
-	if q.Charge != p.Charge || q.Mass != p.Mass || q.QOverM != p.QOverM {
-		t.Fatal("Clone lost scalar fields")
-	}
-}
-
-func TestEnergyMomentumHelpers(t *testing.T) {
-	p := &Population{
-		X: []float64{0, 0, 0}, V: []float64{1, -2, 3},
-		Charge: -1, Mass: 2, QOverM: -0.5,
-	}
-	// KE = 0.5*2*(1+4+9) = 14; P = 2*(1-2+3) = 4.
-	if ke := p.KineticEnergy(); math.Abs(ke-14) > 1e-12 {
-		t.Errorf("KE = %v, want 14", ke)
-	}
-	if mom := p.Momentum(); math.Abs(mom-4) > 1e-12 {
-		t.Errorf("P = %v, want 4", mom)
-	}
-	vmin, vmax := p.VelocityBounds()
-	if vmin != -2 || vmax != 3 {
-		t.Errorf("bounds (%v,%v), want (-2,3)", vmin, vmax)
-	}
-}
-
-func TestVelocityBoundsEmpty(t *testing.T) {
-	p := &Population{}
-	vmin, vmax := p.VelocityBounds()
-	if vmin != 0 || vmax != 0 {
-		t.Fatalf("empty bounds (%v,%v), want (0,0)", vmin, vmax)
-	}
-}

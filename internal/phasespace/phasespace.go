@@ -71,19 +71,6 @@ func NewHist(spec GridSpec) (*Hist, error) {
 	return &Hist{Spec: spec, Data: make([]float64, spec.Size())}, nil
 }
 
-// At returns the count at position bin ix, velocity bin iv.
-func (h *Hist) At(ix, iv int) float64 { return h.Data[iv*h.Spec.NX+ix] }
-
-// Total returns the sum of all bins (== particle count for NGP and CIC,
-// since every particle deposits total weight 1).
-func (h *Hist) Total() float64 {
-	var s float64
-	for _, v := range h.Data {
-		s += v
-	}
-	return s
-}
-
 // Reset zeroes the histogram.
 func (h *Hist) Reset() {
 	for i := range h.Data {
@@ -233,13 +220,5 @@ func (n Normalizer) Apply(dst, src []float64) {
 	scale := 1 / (n.Max - n.Min)
 	for i, v := range src {
 		dst[i] = (v - n.Min) * scale
-	}
-}
-
-// Invert undoes the normalization.
-func (n Normalizer) Invert(dst, src []float64) {
-	scale := n.Max - n.Min
-	for i, v := range src {
-		dst[i] = v*scale + n.Min
 	}
 }

@@ -10,6 +10,27 @@ import (
 	"dlpic/internal/rng"
 )
 
+// At returns the count at position bin ix, velocity bin iv.
+func (h *Hist) At(ix, iv int) float64 { return h.Data[iv*h.Spec.NX+ix] }
+
+// Total returns the sum of all bins (== particle count for NGP and CIC,
+// since every particle deposits total weight 1).
+func (h *Hist) Total() float64 {
+	var s float64
+	for _, v := range h.Data {
+		s += v
+	}
+	return s
+}
+
+// Invert undoes the normalization: the inverse Apply is tested against.
+func (n Normalizer) Invert(dst, src []float64) {
+	scale := n.Max - n.Min
+	for i, v := range src {
+		dst[i] = v*scale + n.Min
+	}
+}
+
 func spec() GridSpec {
 	return GridSpec{NX: 16, NV: 8, L: 2.0, VMin: -0.8, VMax: 0.8, Binning: interp.NGP}
 }

@@ -32,8 +32,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.StepCount() != 50 {
-		t.Fatalf("restored step count %d, want 50", restored.StepCount())
+	if restored.stepN != 50 {
+		t.Fatalf("restored step count %d, want 50", restored.stepN)
 	}
 	var recB diag.Recorder
 	if err := restored.Run(50, &recB, nil); err != nil {

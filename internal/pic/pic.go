@@ -272,9 +272,6 @@ func (s *Simulation) Method() FieldMethod { return s.method }
 // Time returns the current simulation time (Step * Dt).
 func (s *Simulation) Time() float64 { return s.time }
 
-// StepCount returns the number of completed steps.
-func (s *Simulation) StepCount() int { return s.stepN }
-
 // gather interpolates the current grid field to the particles.
 func (s *Simulation) gather() {
 	if s.Cfg.EnergyConserving {
@@ -413,9 +410,6 @@ func NewTraditionalField(cfg Config, g *grid.Grid) (*TraditionalField, error) {
 
 // Name implements FieldMethod.
 func (t *TraditionalField) Name() string { return "traditional" }
-
-// Solver exposes the underlying Poisson solver (for benchmarks).
-func (t *TraditionalField) Solver() poisson.Solver { return t.solver }
 
 // ComputeField implements FieldMethod.
 func (t *TraditionalField) ComputeField(sim *Simulation, e []float64) error {

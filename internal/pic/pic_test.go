@@ -174,8 +174,8 @@ func TestStepAdvancesTime(t *testing.T) {
 			t.Fatalf("sample time %v, want %v", s.Time, float64(i)*sim.Cfg.Dt)
 		}
 	}
-	if sim.StepCount() != 5 {
-		t.Fatalf("StepCount = %d", sim.StepCount())
+	if sim.stepN != 5 {
+		t.Fatalf("step count = %d", sim.stepN)
 	}
 	if math.Abs(sim.Time()-1.0) > 1e-12 {
 		t.Fatalf("Time = %v, want 1.0", sim.Time())

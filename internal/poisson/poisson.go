@@ -12,8 +12,6 @@
 //   - CG: matrix-free conjugate gradient on the three-point Laplacian with
 //     the zero-mean constraint handled by projection.
 //   - SOR: successive over-relaxation (Gauss-Seidel when omega = 1).
-//   - Tridiagonal: Thomas algorithm for Dirichlet problems (phi=0 at both
-//     ends), provided for non-periodic use cases and cross-checks.
 //
 // On a periodic domain the Poisson problem is solvable only for zero-mean
 // rho and determines phi up to a constant; solvers normalize to a
@@ -114,37 +112,6 @@ func (s *Spectral) Solve(phi, rho []float64) error {
 		s.spec[k] *= complex(s.invK2[k]/s.eps0, 0)
 	}
 	s.plan.InverseReal(phi, s.spec)
-	return nil
-}
-
-// SolveEDirect computes E directly in Fourier space (E_hat = -i k phi_hat
-// = -i rho_hat / (eps0 k)), avoiding the finite-difference gradient. Used
-// by the energy-conserving scheme and by tests as a high-accuracy
-// reference.
-func (s *Spectral) SolveEDirect(e, rho []float64) error {
-	n := s.g.N()
-	if len(e) != n || len(rho) != n {
-		return fmt.Errorf("poisson: SolveEDirect length mismatch")
-	}
-	s.plan.ForwardReal(s.spec, rho)
-	s.spec[0] = 0
-	l := s.g.Length()
-	for k := 1; k < n; k++ {
-		m := k
-		if m > n/2 {
-			m -= n
-		}
-		kk := 2 * math.Pi * float64(m) / l
-		// E_hat = -i k phi_hat, phi_hat = rho_hat/(eps0 k^2)
-		// => E_hat = -i rho_hat / (eps0 k)
-		s.spec[k] *= complex(0, -1/(s.eps0*kk))
-	}
-	if n%2 == 0 {
-		// The Nyquist mode has no faithful sign for the first derivative;
-		// zero it for a real, symmetric field.
-		s.spec[n/2] = 0
-	}
-	s.plan.InverseReal(e, s.spec)
 	return nil
 }
 
@@ -406,61 +373,4 @@ func (s *SOR) Solve(phi, rho []float64) error {
 	s.LastIterations = sweep
 	s.g.SubtractMean(phi)
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Tridiagonal (Dirichlet)
-
-// SolveDirichletTridiag solves phi” = -rho/eps0 on [0, L] with
-// phi(0) = phi(L) = 0 using the Thomas algorithm on interior nodes.
-// rho and phi have length n (nodes 0..n-1 at spacing dx = L/(n-1));
-// phi[0] and phi[n-1] are set to zero. This solver serves non-periodic
-// use cases (e.g. bounded sheath problems) and acts as an independently
-// derived cross-check for the iterative kernels.
-func SolveDirichletTridiag(phi, rho []float64, length, eps0 float64) error {
-	n := len(phi)
-	if len(rho) != n {
-		return fmt.Errorf("poisson: tridiag length mismatch phi=%d rho=%d", len(rho), n)
-	}
-	if n < 3 {
-		return fmt.Errorf("poisson: tridiag needs >= 3 nodes, got %d", n)
-	}
-	dx := length / float64(n-1)
-	dx2 := dx * dx
-	m := n - 2 // interior unknowns
-	// System: (phi[i-1] - 2 phi[i] + phi[i+1]) = -dx2 * rho[i]/eps0.
-	// Standard Thomas forward elimination with constant coefficients.
-	cp := make([]float64, m)
-	dp := make([]float64, m)
-	beta := -2.0
-	cp[0] = 1.0 / beta
-	dp[0] = (-dx2 * rho[1] / eps0) / beta
-	for i := 1; i < m; i++ {
-		denom := beta - cp[i-1]
-		cp[i] = 1.0 / denom
-		dp[i] = ((-dx2 * rho[i+1] / eps0) - dp[i-1]) / denom
-	}
-	phi[0], phi[n-1] = 0, 0
-	phi[n-2] = dp[m-1]
-	for i := m - 2; i >= 0; i-- {
-		phi[i+1] = dp[i] - cp[i]*phi[i+2]
-	}
-	return nil
-}
-
-// Residual computes the max-norm residual |Laplacian(phi) + rho/eps0| of
-// a candidate periodic solution; used by tests and health checks.
-func Residual(g *grid.Grid, phi, rho []float64, eps0 float64) float64 {
-	n := g.N()
-	lap := make([]float64, n)
-	g.Laplacian(lap, phi)
-	var maxRes float64
-	mean := g.Mean(rho)
-	for i := 0; i < n; i++ {
-		r := math.Abs(lap[i] + (rho[i]-mean)/eps0)
-		if r > maxRes {
-			maxRes = r
-		}
-	}
-	return maxRes
 }

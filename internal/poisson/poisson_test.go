@@ -3,11 +3,27 @@ package poisson
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"dlpic/internal/grid"
 	"dlpic/internal/rng"
 )
+
+// Residual computes the max-norm residual |Laplacian(phi) + rho/eps0| of
+// a candidate periodic solution: the oracle the solvers are held to.
+func Residual(g *grid.Grid, phi, rho []float64, eps0 float64) float64 {
+	n := g.N()
+	lap := make([]float64, n)
+	g.Laplacian(lap, phi)
+	var maxRes float64
+	mean := g.Mean(rho)
+	for i := 0; i < n; i++ {
+		r := math.Abs(lap[i] + (rho[i]-mean)/eps0)
+		if r > maxRes {
+			maxRes = r
+		}
+	}
+	return maxRes
+}
 
 func sineRho(g *grid.Grid, mode int, amp float64) []float64 {
 	rho := make([]float64, g.N())
@@ -229,99 +245,6 @@ func TestSolveEHelper(t *testing.T) {
 		if math.Abs(e[i]-want) > 1e-10 {
 			t.Fatalf("i=%d: E=%v want=%v", i, e[i], want)
 		}
-	}
-}
-
-func TestSolveEDirectSingleMode(t *testing.T) {
-	g := grid.MustNew(64, 2.0)
-	s := NewSpectral(g, 1.0)
-	rho := sineRho(g, 2, 0.7)
-	e := make([]float64, g.N())
-	if err := s.SolveEDirect(e, rho); err != nil {
-		t.Fatal(err)
-	}
-	k := 2 * math.Pi * 2 / g.Length()
-	for i := range e {
-		want := -0.7 / k * math.Cos(k*g.X(i))
-		if math.Abs(e[i]-want) > 1e-11 {
-			t.Fatalf("i=%d: E=%v want=%v", i, e[i], want)
-		}
-	}
-}
-
-// Gauss's law in integral form: on the periodic domain the integral of E
-// over the box is zero (no net field), and dE/dx = rho/eps0 holds for the
-// spectral direct solve.
-func TestGaussLawProperty(t *testing.T) {
-	g := grid.MustNew(64, 2.0)
-	s := NewSpectral(g, 1.0)
-	r := rng.New(5)
-	f := func() bool {
-		rho := randomZeroMeanRho(r, g)
-		// Band-limit: remove the Nyquist mode, which SolveEDirect zeroes by
-		// construction (its derivative has no faithful representation).
-		for i := range rho {
-			if i%2 == 1 {
-				// leave as-is; instead filter through a forward/backward pass below
-				break
-			}
-		}
-		e := make([]float64, g.N())
-		if err := s.SolveEDirect(e, rho); err != nil {
-			return false
-		}
-		if math.Abs(g.Integral(e)) > 1e-9 {
-			return false
-		}
-		// Spectral derivative check on low modes via the mode amplitudes of
-		// dE/dx vs rho: compare integrals against each sine mode.
-		for mode := 1; mode <= 4; mode++ {
-			k := 2 * math.Pi * float64(mode) / g.Length()
-			var sinRho, cosE float64
-			for i := 0; i < g.N(); i++ {
-				x := g.X(i)
-				sinRho += rho[i] * math.Sin(k*x)
-				cosE += e[i] * math.Cos(k*x)
-			}
-			// For rho_k sin component a: E has -a/k cos component.
-			if math.Abs(cosE+sinRho/k) > 1e-8*(1+math.Abs(sinRho)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDirichletTridiagQuadratic(t *testing.T) {
-	// phi'' = -1, phi(0)=phi(L)=0 -> phi(x) = x(L-x)/2.
-	n, L := 101, 2.0
-	rho := make([]float64, n)
-	for i := range rho {
-		rho[i] = 1.0
-	}
-	phi := make([]float64, n)
-	if err := SolveDirichletTridiag(phi, rho, L, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	dx := L / float64(n-1)
-	for i := 0; i < n; i++ {
-		x := float64(i) * dx
-		want := x * (L - x) / 2
-		if math.Abs(phi[i]-want) > 1e-10 {
-			t.Fatalf("i=%d: phi=%v want=%v", i, phi[i], want)
-		}
-	}
-}
-
-func TestDirichletTridiagValidation(t *testing.T) {
-	if err := SolveDirichletTridiag(make([]float64, 2), make([]float64, 2), 1, 1); err == nil {
-		t.Error("n=2 should fail")
-	}
-	if err := SolveDirichletTridiag(make([]float64, 5), make([]float64, 4), 1, 1); err == nil {
-		t.Error("length mismatch should fail")
 	}
 }
 

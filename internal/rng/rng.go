@@ -4,9 +4,8 @@
 // Reproducibility is a hard requirement for this project: dataset
 // generation, particle loading, weight initialization and minibatch
 // shuffling must all be replayable from a single root seed. The package
-// provides a splittable generator (xoshiro256** seeded through SplitMix64)
-// so that independent components can derive independent, stable streams
-// from one seed without sharing mutable state.
+// provides xoshiro256** seeded through SplitMix64; each component seeds
+// its own Source, so no two share mutable state.
 package rng
 
 import (
@@ -15,7 +14,7 @@ import (
 )
 
 // splitMix64 advances the 64-bit SplitMix64 state and returns the next
-// output. It is used both for seeding xoshiro and for stream splitting.
+// output. It seeds xoshiro.
 func splitMix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state
@@ -25,7 +24,7 @@ func splitMix64(state *uint64) uint64 {
 }
 
 // Source is a deterministic xoshiro256** pseudo-random generator.
-// The zero value is not usable; construct with New or Split.
+// The zero value is not usable; construct with New.
 type Source struct {
 	s [4]uint64
 	// spare Gaussian value from Box-Muller, valid when hasSpare is set.
@@ -45,14 +44,6 @@ func New(seed uint64) *Source {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return &r
-}
-
-// Split derives a new independent Source from r. The derived stream is a
-// pure function of r's current state, and advancing r afterwards does not
-// perturb it. Use Split to hand out one generator per worker or per
-// simulation while keeping global determinism.
-func (r *Source) Split() *Source {
-	return New(r.Uint64() ^ 0xd1342543de82ef95)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -168,14 +159,4 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -39,27 +39,6 @@ func TestZeroSeedUsable(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(7)
-	child := r.Split()
-	// Capture the child's future output, then advance the parent and verify
-	// the child is unaffected.
-	want := make([]uint64, 16)
-	probe := New(0)
-	*probe = *child
-	for i := range want {
-		want[i] = probe.Uint64()
-	}
-	for i := 0; i < 1000; i++ {
-		r.Uint64()
-	}
-	for i := range want {
-		if got := child.Uint64(); got != want[i] {
-			t.Fatalf("child stream perturbed by parent at step %d", i)
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {
@@ -127,23 +106,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(skew) > 0.05 {
 		t.Errorf("third moment = %v, want ~0", skew)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	for _, n := range []int{0, 1, 2, 17, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
 	}
 }
 

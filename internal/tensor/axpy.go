@@ -1,10 +1,10 @@
 package tensor
 
-// Row updates of the NN/TN GEMM engine and AddScaled. gemm.go's header
-// says why the assembly (axpy_amd64.s) is bit-identical to the scalar
-// chain and must never use FMA. The Go loops below are the fallback on
-// other architectures, on CPUs without AVX and under the purego build
-// tag, and the reference the assembly is tested against.
+// Row updates of the NN/TN GEMM engine. gemm.go's header says why the
+// assembly (axpy_amd64.s) is bit-identical to the scalar chain and must
+// never use FMA. The Go loops below are the fallback on other
+// architectures, on CPUs without AVX and under the purego build tag,
+// and the reference the assembly is tested against.
 
 // useAsm routes axpy1 and axpy2 to the assembly kernels. It is set once
 // at init from the CPU's features and is false wherever there are none;

@@ -59,8 +59,8 @@ func TestGatherRows(t *testing.T) {
 	GatherRows(dst, src, idx)
 	for i, s := range idx {
 		for j := 0; j < 4; j++ {
-			if dst.At(i, j) != src.At(s, j) {
-				t.Fatalf("row %d col %d: %v != src row %d", i, j, dst.At(i, j), s)
+			if dst.Row(i)[j] != src.Row(s)[j] {
+				t.Fatalf("row %d col %d: %v != src row %d", i, j, dst.Row(i)[j], s)
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // Tiled GEMM kernels.
 //
 // The four transpose variants below are cache-blocked rewrites of the
-// reference loops in ref.go. The contract is strict bit-equality: every
+// reference loops in ref_test.go. The contract is strict bit-equality: every
 // output element is produced by the exact per-element accumulation
 // chain of its reference kernel — k ascending, the same zero-skip rule,
 // the same acc seeding — so goldens, gradient checks and campaign

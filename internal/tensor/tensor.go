@@ -10,7 +10,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"dlpic/internal/parallel"
 	"dlpic/internal/rng"
@@ -66,12 +65,6 @@ func (t *Tensor) want2D() {
 	}
 }
 
-// At returns element (i, j) of a 2D tensor.
-func (t *Tensor) At(i, j int) float64 { t.want2D(); return t.Data[i*t.Shape[1]+j] }
-
-// Set assigns element (i, j) of a 2D tensor.
-func (t *Tensor) Set(i, j int, v float64) { t.want2D(); t.Data[i*t.Shape[1]+j] = v }
-
 // Row returns a view of row i of a 2D tensor.
 func (t *Tensor) Row(i int) []float64 {
 	t.want2D()
@@ -84,29 +77,10 @@ func (t *Tensor) Clone() *Tensor {
 	return &Tensor{Shape: append([]int(nil), t.Shape...), Data: append([]float64(nil), t.Data...)}
 }
 
-// Reshape returns a view with a new shape of equal size (shares Data).
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.Shape, len(t.Data), shape, n))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
-}
-
 // Zero clears the tensor in place.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
 	}
 }
 
@@ -148,24 +122,10 @@ func Add(dst, a, b *Tensor) {
 	}
 }
 
-// AddScaled computes dst += alpha * src.
-func AddScaled(dst *Tensor, alpha float64, src *Tensor) {
-	checkSameLen("AddScaled", dst, src)
-	axpy1(dst.Data, src.Data, alpha)
-}
-
 // Scale multiplies the tensor by alpha in place.
 func (t *Tensor) Scale(alpha float64) {
 	for i := range t.Data {
 		t.Data[i] *= alpha
-	}
-}
-
-// Hadamard computes dst = a .* b elementwise.
-func Hadamard(dst, a, b *Tensor) {
-	checkSameLen("Hadamard", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
 	}
 }
 
@@ -229,27 +189,6 @@ func GatherRows(dst, src *Tensor, idx []int) {
 	})
 }
 
-// MaxAbs returns the largest absolute value in the tensor (0 for empty).
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// HasNaN reports whether the tensor contains NaN or Inf.
-func (t *Tensor) HasNaN() bool {
-	for _, v := range t.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
-}
-
 func checkSameLen(op string, ts ...*Tensor) {
 	n := ts[0].Len()
 	for _, t := range ts[1:] {
@@ -266,7 +205,7 @@ func checkSameLen(op string, ts ...*Tensor) {
 // op(a) is a if !transA else a^T. All tensors must be 2D with consistent
 // shapes; dst may not alias a or b. The kernels are cache-blocked and
 // register-tiled (gemm.go) but bit-identical to the reference loops in
-// ref.go, element by element, at any GOMAXPROCS.
+// ref_test.go, element by element, at any GOMAXPROCS.
 func MatMul(dst, a, b *Tensor, transA, transB bool) {
 	matMul(dst, a, b, transA, transB, false)
 }
@@ -322,23 +261,4 @@ func checkMatMul(dst, a, b *Tensor, transA, transB bool) {
 		(&dst.Data[0] == &a.Data[0] || &dst.Data[0] == &b.Data[0]) {
 		panic("tensor: MatMul dst aliases an operand")
 	}
-}
-
-// MatVec computes dst = a * x for a 2D a and vectors x, dst.
-func MatVec(dst []float64, a *Tensor, x []float64) {
-	a.want2D()
-	m, n := a.Shape[0], a.Shape[1]
-	if len(x) != n || len(dst) != m {
-		panic(fmt.Sprintf("tensor: MatVec shapes a=%v x=%d dst=%d", a.Shape, len(x), len(dst)))
-	}
-	parallel.ForThreshold(m, 64, func(start, end int) {
-		for i := start; i < end; i++ {
-			row := a.Data[i*n : (i+1)*n]
-			var s float64
-			for j, v := range row {
-				s += v * x[j]
-			}
-			dst[i] = s
-		}
-	})
 }

@@ -12,9 +12,9 @@ import (
 func matMulRef(a, b *Tensor, transA, transB bool) *Tensor {
 	get := func(t *Tensor, i, j int, trans bool) float64 {
 		if trans {
-			return t.At(j, i)
+			return t.Row(j)[i]
 		}
-		return t.At(i, j)
+		return t.Row(i)[j]
 	}
 	am, ak := a.Shape[0], a.Shape[1]
 	if transA {
@@ -31,7 +31,7 @@ func matMulRef(a, b *Tensor, transA, transB bool) *Tensor {
 			for k := 0; k < ak; k++ {
 				s += get(a, i, k, transA) * get(b, k, j, transB)
 			}
-			out.Set(i, j, s)
+			out.Row(i)[j] = s
 		}
 	}
 	return out
@@ -48,10 +48,7 @@ func TestNewAndAccessors(t *testing.T) {
 	if a.Len() != 12 || a.Rows() != 3 || a.Cols() != 4 {
 		t.Fatalf("shape accessors wrong: %v", a.Shape)
 	}
-	a.Set(1, 2, 7.5)
-	if a.At(1, 2) != 7.5 {
-		t.Fatalf("At/Set roundtrip failed")
-	}
+	a.Row(1)[2] = 7.5
 	if a.Data[1*4+2] != 7.5 {
 		t.Fatalf("row-major layout violated")
 	}
@@ -73,11 +70,11 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 func TestFromSlice(t *testing.T) {
 	data := []float64{1, 2, 3, 4, 5, 6}
 	a := FromSlice(data, 2, 3)
-	if a.At(1, 2) != 6 {
+	if a.Row(1)[2] != 6 {
 		t.Fatalf("FromSlice layout wrong")
 	}
 	data[0] = 99 // shared storage
-	if a.At(0, 0) != 99 {
+	if a.Row(0)[0] != 99 {
 		t.Fatalf("FromSlice must not copy")
 	}
 	defer func() {
@@ -88,33 +85,21 @@ func TestFromSlice(t *testing.T) {
 	FromSlice(data, 4, 2)
 }
 
-func TestCloneAndReshape(t *testing.T) {
+func TestClone(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	c := a.Clone()
 	c.Data[0] = -1
 	if a.Data[0] == -1 {
 		t.Fatal("Clone shares storage")
 	}
-	v := a.Reshape(4, 1)
-	v.Data[1] = 42 // view shares storage
-	if a.Data[1] != 42 {
-		t.Fatal("Reshape must share storage")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad reshape did not panic")
-		}
-	}()
-	a.Reshape(3, 1)
 }
 
-func TestZeroFillScale(t *testing.T) {
-	a := New(2, 2)
-	a.Fill(3)
+func TestZeroAndScale(t *testing.T) {
+	a := FromSlice([]float64{3, 3, 3, 3}, 2, 2)
 	a.Scale(2)
 	for _, v := range a.Data {
 		if v != 6 {
-			t.Fatalf("Fill+Scale = %v, want 6", v)
+			t.Fatalf("Scale = %v, want 6", v)
 		}
 	}
 	a.Zero()
@@ -130,16 +115,8 @@ func TestElementwiseOps(t *testing.T) {
 	b := FromSlice([]float64{10, 20, 30, 40}, 2, 2)
 	dst := New(2, 2)
 	Add(dst, a, b)
-	if dst.At(1, 1) != 44 {
+	if dst.Row(1)[1] != 44 {
 		t.Fatalf("Add wrong: %v", dst.Data)
-	}
-	Hadamard(dst, a, b)
-	if dst.At(0, 1) != 40 {
-		t.Fatalf("Hadamard wrong: %v", dst.Data)
-	}
-	AddScaled(dst, 0.5, b)
-	if dst.At(0, 1) != 50 {
-		t.Fatalf("AddScaled wrong: %v", dst.Data)
 	}
 }
 
@@ -147,7 +124,7 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 	a := New(3, 2)
 	AddRowVector(a, []float64{1, -2})
 	for i := 0; i < 3; i++ {
-		if a.At(i, 0) != 1 || a.At(i, 1) != -2 {
+		if a.Row(i)[0] != 1 || a.Row(i)[1] != -2 {
 			t.Fatalf("broadcast failed at row %d", i)
 		}
 	}
@@ -155,24 +132,6 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 	SumRows(sums, a)
 	if sums[0] != 3 || sums[1] != -6 {
 		t.Fatalf("SumRows = %v, want [3 -6]", sums)
-	}
-}
-
-func TestMaxAbsAndHasNaN(t *testing.T) {
-	a := FromSlice([]float64{-5, 3, 2}, 1, 3)
-	if a.MaxAbs() != 5 {
-		t.Fatalf("MaxAbs = %v", a.MaxAbs())
-	}
-	if a.HasNaN() {
-		t.Fatal("false NaN positive")
-	}
-	a.Data[1] = math.Inf(-1)
-	if !a.HasNaN() {
-		t.Fatal("Inf not detected")
-	}
-	a.Data[1] = math.NaN()
-	if !a.HasNaN() {
-		t.Fatal("NaN not detected")
 	}
 }
 
@@ -248,26 +207,6 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: (A^T)^T A x == A^T (A x) exercised through MatVec vs MatMul.
-func TestMatVecMatchesMatMul(t *testing.T) {
-	r := rng.New(4)
-	a := randTensor(r, 13, 7)
-	x := make([]float64, 7)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	got := make([]float64, 13)
-	MatVec(got, a, x)
-	xt := FromSlice(append([]float64(nil), x...), 7, 1)
-	want := New(13, 1)
-	MatMul(want, a, xt, false, false)
-	for i := range got {
-		if math.Abs(got[i]-want.Data[i]) > 1e-12 {
-			t.Fatalf("MatVec mismatch at %d", i)
-		}
 	}
 }
 

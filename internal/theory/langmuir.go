@@ -10,6 +10,8 @@ import "math"
 // wavenumber k in a plasma with frequency wp and thermal speed vth:
 //
 //	omega^2 = wp^2 + 3 k^2 vth^2.
+//
+//deadcode:keep pic TestBohmGrossDispersion: the Langmuir-wave reference
 func BohmGross(k, wp, vth float64) float64 {
 	return math.Sqrt(wp*wp + 3*k*k*vth*vth)
 }
@@ -22,6 +24,8 @@ func BohmGross(k, wp, vth float64) float64 {
 //
 // with the Debye length lD = vth / wp. Accurate for k lD <~ 0.5; returns
 // 0 for non-positive inputs.
+//
+//deadcode:keep vlasov TestVlasovLandauDamping: the Landau-damping reference
 func LandauDampingRate(k, wp, vth float64) float64 {
 	if k <= 0 || wp <= 0 || vth <= 0 {
 		return 0

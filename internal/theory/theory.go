@@ -19,10 +19,7 @@
 // K = 0.612 ~= sqrt(3/8)).
 package theory
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // TwoStream describes two symmetric cold/warm counter-streaming beams.
 type TwoStream struct {
@@ -54,17 +51,6 @@ func uMinus(K float64) float64 {
 	b := 2*K*K + 1
 	disc := 8*K*K + 1
 	return (b - math.Sqrt(disc)) / 2
-}
-
-// OmegaSquared returns both roots u of the dispersion quadratic times
-// wp^2, i.e. the two branches of omega^2 at wavenumber k. The lower
-// branch is negative (unstable) for |K| < 1.
-func (ts TwoStream) OmegaSquared(k float64) (low, high float64) {
-	K := k * ts.V0 / ts.Wp
-	b := 2*K*K + 1
-	disc := math.Sqrt(8*K*K + 1)
-	wp2 := ts.Wp * ts.Wp
-	return (b - disc) / 2 * wp2, (b + disc) / 2 * wp2
 }
 
 // Unstable reports whether wavenumber k is linearly unstable.
@@ -152,22 +138,4 @@ func (ts TwoStream) GrowthRateWarm(k float64) float64 {
 		}
 	}
 	return 0.5 * (lo + hi)
-}
-
-// ColdBeamApprox reports whether the cold-beam approximation v0 >> vth
-// holds (the regime in which GrowthRate is accurate; the paper validates
-// against this limit).
-func (ts TwoStream) ColdBeamApprox() bool {
-	return ts.Vth == 0 || math.Abs(ts.V0) >= 5*ts.Vth
-}
-
-// Validate checks the parameters.
-func (ts TwoStream) Validate() error {
-	if ts.Wp <= 0 {
-		return fmt.Errorf("theory: plasma frequency must be positive, got %v", ts.Wp)
-	}
-	if ts.Vth < 0 {
-		return fmt.Errorf("theory: thermal speed must be non-negative, got %v", ts.Vth)
-	}
-	return nil
 }

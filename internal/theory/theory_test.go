@@ -107,26 +107,6 @@ func TestGrowthRateSatisfiesDispersionProperty(t *testing.T) {
 	}
 }
 
-func TestOmegaSquaredRoots(t *testing.T) {
-	ts := TwoStream{Wp: 1, V0: 0.2}
-	k := 3.06
-	low, high := ts.OmegaSquared(k)
-	if low >= 0 {
-		t.Errorf("low branch %v should be negative (unstable)", low)
-	}
-	if high <= 0 {
-		t.Errorf("high branch %v should be positive", high)
-	}
-	// Verify the quadratic: u^2 - (2K^2+1)u + K^4 - K^2 = 0 in wp units.
-	K := k * ts.V0 / ts.Wp
-	for _, u := range []float64{low, high} {
-		res := u*u - (2*K*K+1)*u + K*K*K*K - K*K
-		if math.Abs(res) > 1e-12 {
-			t.Errorf("root %v residual %v", u, res)
-		}
-	}
-}
-
 func TestGrowthRateScalesWithWp(t *testing.T) {
 	// gamma(k; wp, v0) = wp * f(k v0 / wp): doubling wp and halving v0*k
 	// appropriately rescales.
@@ -180,30 +160,6 @@ func TestGrowthRateWarmSatisfiesWarmDispersion(t *testing.T) {
 	d := 1 - ts.Wp*ts.Wp*a/(a*a+b*b)
 	if math.Abs(d) > 1e-6 {
 		t.Fatalf("warm dispersion residual %v", d)
-	}
-}
-
-func TestColdBeamApprox(t *testing.T) {
-	if !(TwoStream{Wp: 1, V0: 0.2, Vth: 0.025}).ColdBeamApprox() {
-		t.Error("v0/vth = 8 should satisfy the cold-beam approximation")
-	}
-	if (TwoStream{Wp: 1, V0: 0.05, Vth: 0.02}).ColdBeamApprox() {
-		t.Error("v0/vth = 2.5 should not satisfy the cold-beam approximation")
-	}
-	if !(TwoStream{Wp: 1, V0: 0.4, Vth: 0}).ColdBeamApprox() {
-		t.Error("vth = 0 is always cold")
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := (TwoStream{Wp: 0, V0: 1}).Validate(); err == nil {
-		t.Error("wp=0 should fail")
-	}
-	if err := (TwoStream{Wp: 1, Vth: -1}).Validate(); err == nil {
-		t.Error("vth<0 should fail")
-	}
-	if err := (TwoStream{Wp: 1, V0: 0.2, Vth: 0.01}).Validate(); err != nil {
-		t.Errorf("valid params rejected: %v", err)
 	}
 }
 

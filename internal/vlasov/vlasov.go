@@ -185,9 +185,6 @@ func New(cfg Config, init TwoStreamInit) (*Solver, error) {
 // Time returns the current simulation time.
 func (s *Solver) Time() float64 { return s.time }
 
-// StepCount returns the completed step count.
-func (s *Solver) StepCount() int { return s.stepN }
-
 // VCenter returns the center velocity of row iv.
 func (s *Solver) VCenter(iv int) float64 {
 	return s.Cfg.VMin + (float64(iv)+0.5)*s.dv

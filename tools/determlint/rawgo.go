@@ -9,8 +9,8 @@ import (
 // rawgoAnalyzer rejects raw concurrency — bare go statements,
 // sync.WaitGroup, channel creation/sends/receives/ranges and select —
 // everywhere in internal/ except the sanctioned packages below.
-// parallel's chunk-ordered primitives (ScatterReduce, OrderedFold,
-// ForChunks) and its order-free scatter of exact counts (ScatterCount)
+// parallel's chunk-ordered primitives (ScatterReduce, OrderedFold) and
+// its order-free scatter of exact counts (ScatterCount)
 // are what make results bit-identical at any GOMAXPROCS/worker count;
 // batch's inference server is the one sanctioned channel protocol;
 // serve is the daemon control plane, whose goroutines manage job
