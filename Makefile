@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cpu test-purego fuzz-smoke vet lint deadcode race race-train race-parallel bench-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
+.PHONY: all build test test-cpu test-purego fuzz-smoke vet lint deadcode race race-train race-parallel bench-smoke examples-smoke smoke-campaign smoke-train smoke-serve smoke-dist docs fmt-check verify-style ci
 
 all: ci
 
@@ -50,9 +50,10 @@ vet:
 lint:
 	$(GO) run ./tools/determlint ./...
 
-# deadcode fails on any function under internal/ that no binary of the
-# repository links (tools/deadcode): it builds every main package,
-# tools/bench's included, with inlining off and reads the linked symbols.
+# deadcode fails on any function of the root package or under internal/
+# that no binary of the repository links (tools/deadcode): it builds
+# every main package, tools/bench's included, with inlining off and
+# reads the linked symbols.
 # An exception needs an in-source `//deadcode:keep <item or test>`
 # directive naming what calls it; a keep on a function some binary
 # reaches is a finding too, so exceptions cannot go stale.
@@ -75,7 +76,7 @@ race:
 # are the tests that exercise the concurrent shard workers, including
 # checkpoint/resume of the sharded trainer at Workers=1,2,4,8).
 race-train:
-	$(GO) test -race -run 'BitIdentical|Sharded|TailBatch|ShardEngine|ForwardShard|Checkpoint|Resume|Pipelined' ./internal/nn/
+	$(GO) test -race -run 'BitIdentical|Sharded|TailBatch|ShardEngine|ForwardShard|Checkpoint|Resume' ./internal/nn/
 
 # race-parallel repeats internal/parallel's own suite under the race
 # detector at 1, 2 and 4 processors. `make race` runs it once; the worker
@@ -94,6 +95,12 @@ bench-smoke:
 	$(GO) vet -C tools/bench ./...
 	$(GO) test -C tools/bench ./...
 	$(GO) run -C tools/bench dlpic/tools/bench -quick -workload all -trace 1
+
+# examples-smoke builds and runs each program under examples/ and fails
+# on the first non-zero exit; what they print is not checked. The six
+# take about 5 s together on 2 vCPUs (training and vlasov ~2 s each).
+examples-smoke:
+	for e in examples/*/; do echo "== $$e"; $(GO) run "./$$e" || exit 1; done
 
 # smoke-campaign is the CI interrupt/resume check: run a tiny
 # multi-method campaign with a journal, truncate the journal to its

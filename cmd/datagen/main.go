@@ -61,16 +61,13 @@ func run(out string, paper bool, v0sRaw, vthsRaw string, repeats, steps, every, 
 	}
 	spec.Binning = bin
 
-	opts := dataset.GenerateOpts{Base: cfg, Spec: spec, Seed: seed, Workers: workers}
-	if paper {
-		opts.V0s = []float64{0.05, 0.1, 0.15, 0.18, 0.3}
-		opts.Vths = []float64{0.0, 0.001, 0.005, 0.01}
-		opts.Repeats, opts.Steps, opts.SampleEvery = 10, 200, 1
-	} else {
+	opts := dataset.PaperSweep(cfg, spec, seed)
+	if !paper {
 		opts.V0s = []float64{0.1, 0.15, 0.18, 0.3}
 		opts.Vths = []float64{0.0, 0.005}
 		opts.Repeats, opts.Steps, opts.SampleEvery = 2, 200, 2
 	}
+	opts.Workers = workers
 	if v0s, err := cliutil.ParseFloats(v0sRaw); err != nil {
 		return err
 	} else if v0s != nil {

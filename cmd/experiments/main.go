@@ -83,7 +83,6 @@ func main() {
 		batched = flag.Bool("batched", false, "route the scan's DL field solves (-methods mlp, cnn) through the shared batched-inference server; results are bit-identical to the per-call path")
 		batchN  = flag.Int("batch", 0, "batched-inference flush cap (0 = default)")
 		coord   = flag.String("coordinator", "", "host the -scan campaign's coordinator at this address (host:port) and execute on dlpicworker fleets instead of the local pool (needs -journal or -resume)")
-		trainP  = flag.Bool("train-pipeline", false, "overlap minibatch gathers with optimizer steps during training; trained weights are bit-identical with or without it")
 	)
 	flag.Parse()
 	// The campaign flags only act under -scan; reject them otherwise
@@ -99,8 +98,7 @@ func main() {
 			steps: *steps, seed: *seed, workers: *workers,
 			methods: *methods, batched: *batched, batchN: *batchN,
 			journal: *journal, resume: *resume, bundleDir: *bundles,
-			paper: *paper, load: *load, trainWorkers: *trainW,
-			trainPipeline: *trainP, coordinator: *coord,
+			paper: *paper, load: *load, trainWorkers: *trainW, coordinator: *coord,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -112,7 +110,7 @@ func main() {
 			return
 		}
 	}
-	if err := run(*paper, *tiny, *seed, *outdir, *skipCNN, *table1, *fig4, *fig5, *fig6, *oracle, *steps, *load, *trainW, *trainP); err != nil {
+	if err := run(*paper, *tiny, *seed, *outdir, *skipCNN, *table1, *fig4, *fig5, *fig6, *oracle, *steps, *load, *trainW); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -133,7 +131,6 @@ type scanArgs struct {
 	paper           bool
 	load            string
 	trainWorkers    int
-	trainPipeline   bool
 	coordinator     string
 }
 
@@ -219,7 +216,7 @@ func runMethodScan(a scanArgs) error {
 		pipeOpts := experiments.Options{
 			Tiny: !a.paper, Paper: a.paper, Seed: a.seed, Log: os.Stderr,
 			SkipCNN: !needCNN, LoadModels: a.load, TrainWorkers: a.trainWorkers,
-			BundleDir: bundleDir, TrainPipeline: a.trainPipeline,
+			BundleDir: bundleDir,
 		}
 		base = pipeOpts.BaseConfig()
 		provider = experiments.NewPipelineProvider(pipeOpts)
@@ -386,7 +383,7 @@ func scanProgress(stage string) func(done, total int) {
 	}
 }
 
-func run(paper, tiny bool, seed uint64, outdir string, skipCNN, t1, f4, f5, f6, oracle bool, steps int, load string, trainWorkers int, trainPipeline bool) error {
+func run(paper, tiny bool, seed uint64, outdir string, skipCNN, t1, f4, f5, f6, oracle bool, steps int, load string, trainWorkers int) error {
 	// -oracle is additive: it never suppresses the main suite.
 	all := !t1 && !f4 && !f5 && !f6
 	if outdir != "" {
@@ -404,7 +401,6 @@ func run(paper, tiny bool, seed uint64, outdir string, skipCNN, t1, f4, f5, f6, 
 	p, err := experiments.New(experiments.Options{
 		Paper: paper, Tiny: tiny, Seed: seed, Log: os.Stderr, SkipCNN: skipCNN,
 		ModelDir: modelDir, LoadModels: load, TrainWorkers: trainWorkers,
-		TrainPipeline: trainPipeline,
 	})
 	if err != nil {
 		return err

@@ -52,7 +52,6 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "seed for init and shuffling")
 		cells  = flag.Int("grid-cells", 64, "PIC grid cells (for the pinn loss dx)")
 		tw     = flag.Int("train-workers", 0, "data-parallel training workers (0 = GOMAXPROCS); weights and losses are bit-identical for any value")
-		pipe   = flag.Bool("pipeline", false, "overlap each batch's gather with the previous optimizer step; weights and losses are bit-identical with or without it")
 		ckpt   = flag.String("checkpoint", "", "write the full training state (weights, optimizer moments, shuffle cursor, history) to this file after each checkpoint interval; resume a killed fit with -resume")
 		ckptN  = flag.Int("checkpoint-every", 1, "checkpoint after every N epochs (the final epoch is always checkpointed)")
 		resume = flag.Bool("resume", false, "resume training from the -checkpoint file: continues to -epochs and is bit-identical to an uninterrupted fit (the network comes from the checkpoint; -arch/-hidden/... are ignored, and everything else must match the interrupted run)")
@@ -71,7 +70,6 @@ func main() {
 		hidden: *hidden, layers: *layers, ch1: *ch1, ch2: *ch2, blocks: *blocks,
 		epochs: *epochs, batch: *batch, lr: *lr, loss: *loss,
 		valN: *valN, testN: *testN, seed: *seed, gridCells: *cells, trainWorkers: *tw,
-		pipeline:   *pipe,
 		checkpoint: nn.Checkpoint{Path: *ckpt, Every: *ckptN}, resume: *resume,
 	})
 	if err != nil {
@@ -90,7 +88,6 @@ type trainOpts struct {
 	valN, testN                      int
 	seed                             uint64
 	gridCells, trainWorkers          int
-	pipeline                         bool
 	checkpoint                       nn.Checkpoint
 	resume                           bool
 }
@@ -140,7 +137,7 @@ func run(o trainOpts) error {
 	tc := nn.TrainConfig{
 		Epochs: o.epochs, BatchSize: o.batch, Optimizer: nn.NewAdam(o.lr),
 		Loss: lossFn, Seed: o.seed + 2, Log: os.Stderr, LogEvery: 5,
-		Workers: o.trainWorkers, Pipeline: o.pipeline, Checkpoint: o.checkpoint,
+		Workers: o.trainWorkers, Checkpoint: o.checkpoint,
 	}
 
 	var net *nn.Network

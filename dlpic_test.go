@@ -4,47 +4,23 @@ import (
 	"math"
 	"testing"
 
-	"dlpic/internal/nn"
+	"dlpic/internal/diag"
+	"dlpic/internal/pic"
 )
 
-func testConfig() Config {
-	cfg := DefaultConfig()
+func TestTraditionalGrowthThroughFacade(t *testing.T) {
+	cfg := pic.Default()
 	cfg.Cells = 32
 	cfg.ParticlesPerCell = 30
 	cfg.Vth = 0
 	cfg.QuietStart = true
 	cfg.PerturbAmp = 1e-4 * cfg.Length
 	cfg.PerturbMode = 1
-	return cfg
-}
-
-func testSpec(cfg Config) PhaseSpec {
-	s := DefaultPhaseSpec(cfg)
-	s.NX = cfg.Cells
-	s.NV = 16
-	return s
-}
-
-func TestDefaultConfigIsPaperSetup(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Cells != 64 {
-		t.Errorf("Cells = %d, want 64", cfg.Cells)
-	}
-	if math.Abs(cfg.Length-2*math.Pi/3.06) > 1e-12 {
-		t.Errorf("Length = %v, want 2*pi/3.06", cfg.Length)
-	}
-	if cfg.Dt != 0.2 || cfg.ParticlesPerCell != 1000 || cfg.V0 != 0.2 {
-		t.Errorf("paper parameters wrong: %+v", cfg)
-	}
-}
-
-func TestTraditionalGrowthThroughFacade(t *testing.T) {
-	cfg := testConfig()
-	sim, err := NewTraditional(cfg)
+	sim, err := pic.New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Recorder
+	var rec diag.Recorder
 	if err := sim.Run(150, &rec, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -60,207 +36,12 @@ func TestTraditionalGrowthThroughFacade(t *testing.T) {
 	}
 }
 
-func TestOracleDLPICThroughFacade(t *testing.T) {
-	cfg := testConfig()
-	sim, err := NewOracleDLPIC(cfg, testSpec(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec Recorder
-	if err := sim.Run(100, &rec, nil); err != nil {
-		t.Fatal(err)
-	}
-	if sim.Method().Name() != "dl-oracle" {
-		t.Fatalf("method %q", sim.Method().Name())
-	}
-}
-
-func TestNewDLPICNilSolver(t *testing.T) {
-	if _, err := NewDLPIC(testConfig(), nil); err == nil {
-		t.Fatal("nil solver should fail")
-	}
-}
-
 func TestTheoreticalGrowthRatePaperValue(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := pic.Default()
 	cfg.Vth = 0
 	got := TheoreticalGrowthRate(cfg)
 	want := 1 / math.Sqrt(8) // K = 0.612 ~ sqrt(3/8): near-maximal growth
 	if math.Abs(got-want) > 2e-4 {
 		t.Fatalf("gamma = %v, want ~%v", got, want)
-	}
-}
-
-func TestSweepConstructors(t *testing.T) {
-	cfg := DefaultConfig()
-	spec := DefaultPhaseSpec(cfg)
-	paper := PaperSweep(cfg, spec, 1)
-	if err := paper.Validate(); err != nil {
-		t.Fatalf("paper sweep invalid: %v", err)
-	}
-	if len(paper.V0s)*len(paper.Vths) != 20 || paper.Repeats != 10 || paper.Steps != 200 {
-		t.Fatalf("paper sweep is not the 20x10x200 corpus: %+v", paper)
-	}
-	scaled := ScaledSweep(cfg, spec, 1)
-	if err := scaled.Validate(); err != nil {
-		t.Fatalf("scaled sweep invalid: %v", err)
-	}
-	paperSamples := len(paper.V0s) * len(paper.Vths) * paper.Repeats * paper.Steps
-	scaledSamples := len(scaled.V0s) * len(scaled.Vths) * scaled.Repeats * scaled.Steps / scaled.SampleEvery
-	if scaledSamples >= paperSamples/10 {
-		t.Fatalf("scaled sweep too large: %d vs paper %d", scaledSamples, paperSamples)
-	}
-}
-
-func TestBuildNetworkArchitectures(t *testing.T) {
-	cfg := testConfig()
-	spec := testSpec(cfg)
-	for _, arch := range []SolverArch{ArchMLP, ArchCNN, ArchResMLP} {
-		opts := SolverOpts{Arch: arch, Hidden: 16, Layers: 1, Channels1: 2, Channels2: 2, Blocks: 1, Seed: 1}
-		net, err := BuildNetwork(opts, spec, cfg.Cells)
-		if err != nil {
-			t.Fatalf("%v: %v", arch, err)
-		}
-		if net.InDim != spec.Size() || net.OutDim() != cfg.Cells {
-			t.Fatalf("%v: dims %d->%d, want %d->%d", arch, net.InDim, net.OutDim(), spec.Size(), cfg.Cells)
-		}
-	}
-	if _, err := BuildNetwork(SolverOpts{Arch: SolverArch(99)}, spec, cfg.Cells); err == nil {
-		t.Fatal("unknown arch should fail")
-	}
-}
-
-func TestPaperSolverOptsSizes(t *testing.T) {
-	o := PaperSolverOpts(ArchMLP, 1)
-	if o.Hidden != 1024 || o.Layers != 3 {
-		t.Fatalf("paper MLP sizing wrong: %+v", o)
-	}
-}
-
-func TestArchString(t *testing.T) {
-	if ArchMLP.String() != "MLP" || ArchCNN.String() != "CNN" || ArchResMLP.String() != "ResMLP" {
-		t.Fatal("arch names wrong")
-	}
-}
-
-// Full pipeline through the facade: generate -> normalize -> split ->
-// train -> evaluate -> simulate -> save/load.
-func TestEndToEndPipelineThroughFacade(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline test skipped in -short mode")
-	}
-	cfg := testConfig()
-	cfg.Vth = 0.01
-	cfg.QuietStart = false
-	cfg.PerturbAmp = 1e-3 * cfg.Length
-	spec := testSpec(cfg)
-	sweep := SweepOpts{
-		Base: cfg,
-		V0s:  []float64{0.15, 0.2}, Vths: []float64{0.005},
-		Repeats: 1, Steps: 80, SampleEvery: 1,
-		Spec: spec, Seed: 3,
-	}
-	ds, err := GenerateDataset(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	ds.Shuffle(1)
-	train, val, _, err := ds.Split(ds.N()-20, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solver, hist, err := TrainSolver(
-		SolverOpts{Arch: ArchMLP, Hidden: 48, Layers: 2, Seed: 7},
-		train, val,
-		TrainConfig{Epochs: 30, BatchSize: 32, Optimizer: nn.NewAdam(1e-3), Loss: nn.MSE{}, Seed: 9},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist.Epochs) != 30 {
-		t.Fatalf("history length %d", len(hist.Epochs))
-	}
-	m := EvaluateSolver(solver, val)
-	if m.MAE > 0.05 {
-		t.Fatalf("solver MAE %v too high", m.MAE)
-	}
-	// Drive the loop.
-	simCfg := cfg
-	simCfg.Seed = 77
-	sim, err := NewDLPIC(simCfg, solver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec Recorder
-	if err := sim.Run(60, &rec, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.CheckFinite(); err != nil {
-		t.Fatal(err)
-	}
-	// Persistence.
-	path := t.TempDir() + "/solver.dlpic"
-	if err := SaveSolver(solver, cfg.Cells, path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSolver(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := EvaluateSolver(loaded, val)
-	if math.Abs(m2.MAE-m.MAE) > 1e-12 {
-		t.Fatalf("loaded solver MAE %v != %v", m2.MAE, m.MAE)
-	}
-}
-
-func TestTrainSolverRequiresNormalizedCorpus(t *testing.T) {
-	cfg := testConfig()
-	spec := testSpec(cfg)
-	sweep := SweepOpts{
-		Base: cfg, V0s: []float64{0.2}, Vths: []float64{0},
-		Repeats: 1, Steps: 5, SampleEvery: 1, Spec: spec, Seed: 1,
-	}
-	ds, err := GenerateDataset(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = TrainSolver(SolverOpts{Arch: ArchMLP, Hidden: 8, Layers: 1},
-		ds, nil, TrainConfig{Epochs: 1, BatchSize: 4, Optimizer: nn.NewAdam(0), Loss: nn.MSE{}})
-	if err == nil {
-		t.Fatal("un-normalized corpus should be rejected")
-	}
-}
-
-func TestScenarioSweepThroughFacade(t *testing.T) {
-	base := DefaultConfig()
-	base.Cells = 32
-	base.ParticlesPerCell = 60
-	scs := SweepGrid(base, []float64{0.15, 0.2}, []float64{0.01}, 1, 30, 5)
-	if len(scs) != 2 {
-		t.Fatalf("got %d scenarios, want 2", len(scs))
-	}
-	results := RunSweep(scs, SweepRunOpts{Workers: 2})
-	if err := FirstSweepError(results); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Rec.Len() != 30 {
-			t.Fatalf("scenario %d: %d samples, want 30", i, r.Rec.Len())
-		}
-		if r.TheoryGamma <= 0 {
-			t.Fatalf("scenario %d: theory gamma %v, want > 0", i, r.TheoryGamma)
-		}
-	}
-	// Same grid, serial pool: bit-identical diagnostics.
-	serial := RunSweep(scs, SweepRunOpts{Workers: 1})
-	for i := range serial {
-		for j := range serial[i].Rec.Samples {
-			if serial[i].Rec.Samples[j] != results[i].Rec.Samples[j] {
-				t.Fatalf("scenario %d sample %d differs between worker counts", i, j)
-			}
-		}
 	}
 }

@@ -13,13 +13,15 @@ import (
 	"fmt"
 	"log"
 
-	"dlpic"
 	"dlpic/internal/ascii"
+	"dlpic/internal/core"
 	"dlpic/internal/diag"
+	"dlpic/internal/phasespace"
+	"dlpic/internal/pic"
 )
 
 func main() {
-	cfg := dlpic.DefaultConfig()
+	cfg := pic.Default()
 	cfg.ParticlesPerCell = 300
 	cfg.V0 = 0.4
 	cfg.Vth = 0.0
@@ -28,8 +30,8 @@ func main() {
 	k1 := 2 * 3.141592653589793 / cfg.Length
 	fmt.Printf("cold beams: v0 = %.1f, K = k1*v0/wp = %.3f > 1 -> linearly stable\n\n", cfg.V0, k1*cfg.V0/cfg.Wp)
 
-	run := func(name string, sim *dlpic.Simulation) {
-		var rec dlpic.Recorder
+	run := func(name string, sim *pic.Simulation) {
+		var rec diag.Recorder
 		spread0 := diag.VelocitySpread(sim.P.V)
 		if err := sim.Run(200, &rec, nil); err != nil { // t = 40 as in Fig. 6
 			log.Fatal(err)
@@ -43,14 +45,17 @@ func main() {
 		fmt.Println()
 	}
 
-	trad, err := dlpic.NewTraditional(cfg)
+	trad, err := pic.New(cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	run("traditional PIC (momentum-conserving, CIC + spectral)", trad)
 
-	spec := dlpic.DefaultPhaseSpec(cfg)
-	oracle, err := dlpic.NewOracleDLPIC(cfg, spec)
+	solver, err := core.NewOracleSolver(cfg, phasespace.DefaultSpec(cfg.Length))
+	if err != nil {
+		log.Fatal(err)
+	}
+	oracle, err := pic.New(cfg, solver)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 //
 //	go run ./examples/training
 //
-// Takes a few minutes on one CPU core (the CNN dominates).
+// Takes a few seconds on two CPU cores (the CNN dominates).
 package main
 
 import (
@@ -14,18 +14,21 @@ import (
 	"os"
 	"time"
 
-	"dlpic"
 	"dlpic/internal/ascii"
+	"dlpic/internal/dataset"
 	"dlpic/internal/nn"
+	"dlpic/internal/phasespace"
+	"dlpic/internal/pic"
+	"dlpic/internal/rng"
 )
 
 func main() {
-	cfg := dlpic.DefaultConfig()
+	cfg := pic.Default()
 	cfg.ParticlesPerCell = 100
-	spec := dlpic.DefaultPhaseSpec(cfg)
+	spec := phasespace.DefaultSpec(cfg.Length)
 
 	fmt.Fprintln(os.Stderr, "generating corpora...")
-	ds, err := dlpic.GenerateDataset(dlpic.SweepOpts{
+	ds, err := dataset.Generate(dataset.GenerateOpts{
 		Base: cfg,
 		V0s:  []float64{0.15, 0.18, 0.3}, Vths: []float64{0.0, 0.005},
 		Repeats: 1, Steps: 150, SampleEvery: 2,
@@ -45,7 +48,7 @@ func main() {
 
 	// Test set II: unseen parameters, normalized with the training
 	// transform (as the paper does).
-	setII, err := dlpic.GenerateDataset(dlpic.SweepOpts{
+	setII, err := dataset.Generate(dataset.GenerateOpts{
 		Base: cfg,
 		V0s:  []float64{0.2}, Vths: []float64{0.025},
 		Repeats: 1, Steps: 100, SampleEvery: 2,
@@ -58,27 +61,45 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The three architectures at one scaled width, each initialised
+	// from the same seed.
+	const hidden, layers = 64, 2
+	builds := []struct {
+		name   string
+		epochs int
+		build  func(*rng.Source) (*nn.Network, error)
+	}{
+		{"MLP", 20, func(r *rng.Source) (*nn.Network, error) {
+			return nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: ds.Cells, Hidden: hidden, HiddenLayers: layers}, r)
+		}},
+		{"CNN", 8, func(r *rng.Source) (*nn.Network, error) { // conv epochs are ~10x more expensive
+			return nn.NewCNN(nn.CNNConfig{H: spec.NV, W: spec.NX, OutDim: ds.Cells,
+				Channels1: 2, Channels2: 4, Kernel: 3, Hidden: hidden, HiddenLayers: layers}, r)
+		}},
+		{"ResMLP", 20, func(r *rng.Source) (*nn.Network, error) {
+			return nn.NewResMLP(nn.ResMLPConfig{InDim: spec.Size(), OutDim: ds.Cells, Hidden: hidden, Blocks: 2}, r)
+		}},
+	}
+
 	rows := [][]string{{"Arch", "Params", "Train time", "MAE (I)", "Max (I)", "MAE (II)", "Max (II)"}}
-	for _, arch := range []dlpic.SolverArch{dlpic.ArchMLP, dlpic.ArchCNN, dlpic.ArchResMLP} {
-		opts := dlpic.SolverOpts{Arch: arch, Hidden: 64, Layers: 2, Channels1: 2, Channels2: 4, Blocks: 2, Seed: 5}
-		epochs := 20
-		if arch == dlpic.ArchCNN {
-			epochs = 8 // conv epochs are ~10x more expensive
-		}
-		fmt.Fprintf(os.Stderr, "training %v...\n", arch)
-		start := time.Now()
-		solver, _, err := dlpic.TrainSolver(opts, train, val, dlpic.TrainConfig{
-			Epochs: epochs, BatchSize: 64, Optimizer: nn.NewAdam(1e-3), Loss: nn.MSE{}, Seed: 6,
-		})
+	for _, b := range builds {
+		net, err := b.build(rng.New(5))
 		if err != nil {
 			log.Fatal(err)
 		}
+		fmt.Fprintf(os.Stderr, "training %s...\n", b.name)
+		start := time.Now()
+		if _, err := nn.Fit(net, train.Inputs, train.Targets, val.Inputs, val.Targets, nn.TrainConfig{
+			Epochs: b.epochs, BatchSize: 64, Optimizer: nn.NewAdam(1e-3), Loss: nn.MSE{}, Seed: 6,
+		}); err != nil {
+			log.Fatal(err)
+		}
 		elapsed := time.Since(start).Round(time.Second)
-		mI := dlpic.EvaluateSolver(solver, testI)
-		mII := dlpic.EvaluateSolver(solver, setII)
+		mI := nn.Evaluate(net, testI.Inputs, testI.Targets, 64)
+		mII := nn.Evaluate(net, setII.Inputs, setII.Targets, 64)
 		rows = append(rows, []string{
-			arch.String(),
-			fmt.Sprintf("%d", solver.Net.NumParams()),
+			b.name,
+			fmt.Sprintf("%d", net.NumParams()),
 			elapsed.String(),
 			fmt.Sprintf("%.4g", mI.MAE), fmt.Sprintf("%.4g", mI.MaxErr),
 			fmt.Sprintf("%.4g", mII.MAE), fmt.Sprintf("%.4g", mII.MaxErr),

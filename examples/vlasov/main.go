@@ -8,7 +8,7 @@
 //
 //	go run ./examples/vlasov
 //
-// Takes a couple of minutes on one CPU core.
+// Takes a couple of seconds on two CPU cores.
 package main
 
 import (
@@ -17,11 +17,13 @@ import (
 	"math"
 	"os"
 
-	"dlpic"
 	"dlpic/internal/ascii"
 	"dlpic/internal/dataset"
 	"dlpic/internal/diag"
 	"dlpic/internal/nn"
+	"dlpic/internal/phasespace"
+	"dlpic/internal/pic"
+	"dlpic/internal/rng"
 	"dlpic/internal/theory"
 	"dlpic/internal/vlasov"
 )
@@ -58,14 +60,14 @@ func main() {
 
 	// 2. Corpus quality comparison: PIC-generated vs Vlasov-generated
 	// training data for the same MLP, evaluated on a PIC test set.
-	cfg := dlpic.DefaultConfig()
+	cfg := pic.Default()
 	cfg.Cells = 64
 	cfg.ParticlesPerCell = 125 // 8000 particles: matches the Vlasov Np
-	spec := dlpic.DefaultPhaseSpec(cfg)
+	spec := phasespace.DefaultSpec(cfg.Length)
 	np := cfg.NumParticles()
 
 	fmt.Fprintln(os.Stderr, "generating PIC corpus...")
-	picDS, err := dlpic.GenerateDataset(dlpic.SweepOpts{
+	picDS, err := dataset.Generate(dataset.GenerateOpts{
 		Base: cfg, V0s: []float64{0.15, 0.18}, Vths: []float64{0.03},
 		Repeats: 2, Steps: 150, SampleEvery: 2, Spec: spec, Seed: 1,
 	})
@@ -86,7 +88,7 @@ func main() {
 	}
 
 	fmt.Fprintln(os.Stderr, "generating PIC test set (unseen v0 = 0.2)...")
-	testDS, err := dlpic.GenerateDataset(dlpic.SweepOpts{
+	testDS, err := dataset.Generate(dataset.GenerateOpts{
 		Base: cfg, V0s: []float64{0.2}, Vths: []float64{0.03},
 		Repeats: 1, Steps: 100, SampleEvery: 2, Spec: spec, Seed: 9,
 	})
@@ -94,7 +96,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	trainAndEval := func(name string, ds *dlpic.Dataset) {
+	trainAndEval := func(name string, ds *dataset.Dataset) {
 		if err := ds.Normalize(); err != nil {
 			log.Fatal(err)
 		}
@@ -104,15 +106,15 @@ func main() {
 		}
 		ds.Shuffle(3)
 		fmt.Fprintf(os.Stderr, "training MLP on the %s corpus (%d samples)...\n", name, ds.N())
-		solver, _, err := dlpic.TrainSolver(
-			dlpic.SolverOpts{Arch: dlpic.ArchMLP, Hidden: 96, Layers: 3, Seed: 4},
-			ds, nil,
-			dlpic.TrainConfig{Epochs: 25, BatchSize: 64, Optimizer: nn.NewAdam(1e-3), Loss: nn.MSE{}, Seed: 5},
-		)
+		net, err := nn.NewMLP(nn.MLPConfig{InDim: spec.Size(), OutDim: ds.Cells, Hidden: 96, HiddenLayers: 3}, rng.New(4))
 		if err != nil {
 			log.Fatal(err)
 		}
-		m := dlpic.EvaluateSolver(solver, test)
+		if _, err := nn.Fit(net, ds.Inputs, ds.Targets, nil, nil,
+			nn.TrainConfig{Epochs: 25, BatchSize: 64, Optimizer: nn.NewAdam(1e-3), Loss: nn.MSE{}, Seed: 5}); err != nil {
+			log.Fatal(err)
+		}
+		m := nn.Evaluate(net, test.Inputs, test.Targets, 64)
 		fmt.Printf("%-16s corpus -> PIC test set: MAE %.4g, max error %.4g\n", name, m.MAE, m.MaxErr)
 	}
 	trainAndEval("PIC", picDS)
@@ -123,8 +125,8 @@ func main() {
 }
 
 // cloneDataset deep-copies a dataset so each normalization is independent.
-func cloneDataset(d *dlpic.Dataset) *dlpic.Dataset {
-	return &dlpic.Dataset{
+func cloneDataset(d *dataset.Dataset) *dataset.Dataset {
+	return &dataset.Dataset{
 		Spec: d.Spec, Cells: d.Cells,
 		Inputs:  d.Inputs.Clone(),
 		Targets: d.Targets.Clone(),

@@ -10,11 +10,15 @@ import (
 	"runtime"
 	"testing"
 
+	"dlpic/internal/campaign"
 	"dlpic/internal/core"
 	"dlpic/internal/dataset"
 	"dlpic/internal/interp"
+	"dlpic/internal/nn"
 	"dlpic/internal/phasespace"
 	"dlpic/internal/pic"
+	"dlpic/internal/rng"
+	"dlpic/internal/sweep"
 )
 
 // The determinism tests elsewhere compare a run with itself at another
@@ -138,7 +142,7 @@ func TestGoldenCorpusHash(t *testing.T) {
 
 // TestGoldenBundleAndCampaign pins what the state and corpus hashes do
 // not reach: training and bundle serialization (the sha256 of a small
-// MLP fitted on the golden corpus, as SaveSolver writes it) and the
+// MLP fitted on the golden corpus, as core.SaveModelFile writes it) and the
 // campaign arithmetic on top (the digest of 2 scenarios x traditional /
 // oracle / that MLP, journaled).
 func TestGoldenBundleAndCampaign(t *testing.T) {
@@ -154,15 +158,21 @@ func TestGoldenBundleAndCampaign(t *testing.T) {
 		if err := ds.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		solver, _, err := TrainSolver(
-			SolverOpts{Arch: ArchMLP, Hidden: 16, Layers: 2, Seed: 14}, ds, nil,
-			TrainConfig{Epochs: 3, BatchSize: 8, Optimizer: NewAdam(1e-3), Loss: MSELoss(), Seed: 15})
+		net, err := nn.NewMLP(nn.MLPConfig{InDim: ds.Spec.Size(), OutDim: ds.Cells, Hidden: 16, HiddenLayers: 2}, rng.New(14))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nn.Fit(net, ds.Inputs, ds.Targets, nil, nil,
+			nn.TrainConfig{Epochs: 3, BatchSize: 8, Optimizer: nn.NewAdam(1e-3), Loss: nn.MSE{}, Seed: 15}); err != nil {
+			t.Fatal(err)
+		}
+		solver, err := core.NewNNSolver(net, ds.Spec, ds.Norm, ds.Cells)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
 		path := filepath.Join(dir, "golden.dlpic")
-		if err := SaveSolver(solver, base.Cells, path); err != nil {
+		if err := core.SaveModelFile(solver, base.Cells, path); err != nil {
 			t.Fatal(err)
 		}
 		bundle, err := os.ReadFile(path)
@@ -174,14 +184,14 @@ func TestGoldenBundleAndCampaign(t *testing.T) {
 			t.Errorf("bundle at GOMAXPROCS=%d: sha256 %s, want %s", procs, got, wantBundle)
 		}
 
-		results, err := RunCampaign(filepath.Join(dir, "golden.jsonl"), CampaignSpec{
-			Scenarios: SweepGrid(base, []float64{0.15, 0.2}, []float64{0.01}, 1, 20, 16),
-			Opts: SweepRunOpts{Workers: 2, Methods: []SweepMethodSpec{
+		results, err := campaign.Run(filepath.Join(dir, "golden.jsonl"), campaign.Spec{
+			Scenarios: sweep.Grid(base, []float64{0.15, 0.2}, []float64{0.01}, 1, 20, 16),
+			Opts: sweep.Options{Workers: 2, Methods: []sweep.MethodSpec{
 				{Name: "traditional"},
-				{Name: "oracle", Factory: func(sc SweepScenario) (FieldMethod, error) {
-					return NewOracleSolver(sc.Cfg, DefaultPhaseSpec(sc.Cfg))
+				{Name: "oracle", Factory: func(sc sweep.Scenario) (pic.FieldMethod, error) {
+					return core.NewOracleSolver(sc.Cfg, phasespace.DefaultSpec(sc.Cfg.Length))
 				}},
-				{Name: "mlp", Factory: func(SweepScenario) (FieldMethod, error) {
+				{Name: "mlp", Factory: func(sweep.Scenario) (pic.FieldMethod, error) {
 					return solver.Clone()
 				}},
 			}},
@@ -189,10 +199,10 @@ func TestGoldenBundleAndCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := FirstSweepError(results); err != nil {
+		if err := sweep.FirstError(results); err != nil {
 			t.Fatal(err)
 		}
-		if got := CampaignDigest(results); got != wantDigest {
+		if got := campaign.Digest(results); got != wantDigest {
 			t.Errorf("campaign at GOMAXPROCS=%d: digest %s, want %s", procs, got, wantDigest)
 		}
 		runtime.GOMAXPROCS(prev)

@@ -77,6 +77,19 @@ type GenerateOpts struct {
 	Progress func(done, total int)
 }
 
+// PaperSweep returns the paper's §IV-1 corpus sweep over base: v0 in
+// {0.05, 0.1, 0.15, 0.18, 0.3} x vth in {0, 0.001, 0.005, 0.01}, 10
+// repeats of 200 steps each, every step sampled (40,000 samples).
+func PaperSweep(base pic.Config, spec phasespace.GridSpec, seed uint64) GenerateOpts {
+	return GenerateOpts{
+		Base:    base,
+		V0s:     []float64{0.05, 0.1, 0.15, 0.18, 0.3},
+		Vths:    []float64{0.0, 0.001, 0.005, 0.01},
+		Repeats: 10, Steps: 200, SampleEvery: 1,
+		Spec: spec, Seed: seed,
+	}
+}
+
 // Validate checks the sweep options.
 func (o GenerateOpts) Validate() error {
 	if len(o.V0s) == 0 || len(o.Vths) == 0 {

@@ -25,6 +25,17 @@ func tinyOpts() GenerateOpts {
 	}
 }
 
+func TestPaperSweep(t *testing.T) {
+	base := pic.Default()
+	paper := PaperSweep(base, phasespace.DefaultSpec(base.Length), 1)
+	if err := paper.Validate(); err != nil {
+		t.Fatalf("paper sweep invalid: %v", err)
+	}
+	if len(paper.V0s)*len(paper.Vths) != 20 || paper.Repeats != 10 || paper.Steps != 200 || paper.SampleEvery != 1 {
+		t.Fatalf("paper sweep is not the 20x10x200 corpus: %+v", paper)
+	}
+}
+
 func TestGenerateOptsValidate(t *testing.T) {
 	good := tinyOpts()
 	if err := good.Validate(); err != nil {

@@ -67,12 +67,6 @@ type Options struct {
 	// training engine (0 = GOMAXPROCS). Trained weights, losses and
 	// histories are bit-identical for any value.
 	TrainWorkers int
-	// TrainPipeline overlaps each batch's gather with the previous
-	// batch's optimizer step (nn.TrainConfig.Pipeline). Like
-	// TrainWorkers it is an execution-environment knob: weights and
-	// histories are bit-identical with it on or off, and it does not
-	// enter the training fingerprint BundleDir keys on.
-	TrainPipeline bool
 }
 
 // Pipeline holds the shared state of the evaluation: the corpus, the
@@ -165,13 +159,7 @@ func baseConfig(sc Scale) pic.Config {
 func sweepOpts(cfg pic.Config, spec phasespace.GridSpec, sc Scale, seed uint64) dataset.GenerateOpts {
 	switch sc {
 	case ScalePaper:
-		return dataset.GenerateOpts{
-			Base:    cfg,
-			V0s:     []float64{0.05, 0.1, 0.15, 0.18, 0.3},
-			Vths:    []float64{0.0, 0.001, 0.005, 0.01},
-			Repeats: 10, Steps: 200, SampleEvery: 1,
-			Spec: spec, Seed: seed,
-		}
+		return dataset.PaperSweep(cfg, spec, seed)
 	case ScaleTiny:
 		return dataset.GenerateOpts{
 			Base:    cfg,
@@ -282,7 +270,7 @@ func New(opts Options) (*Pipeline, error) {
 		nn.TrainConfig{
 			Epochs: mlpEpochs, BatchSize: 64, Optimizer: nn.NewAdam(lr),
 			Loss: nn.MSE{}, Seed: opts.Seed + 3, Log: opts.Log, LogEvery: 5,
-			Workers: opts.TrainWorkers, Pipeline: opts.TrainPipeline,
+			Workers: opts.TrainWorkers,
 		})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: MLP training: %w", err)
@@ -317,7 +305,7 @@ func New(opts Options) (*Pipeline, error) {
 			nn.TrainConfig{
 				Epochs: cnnEpochs, BatchSize: 64, Optimizer: nn.NewAdam(lr),
 				Loss: nn.MSE{}, Seed: opts.Seed + 5, Log: opts.Log, LogEvery: 5,
-				Workers: opts.TrainWorkers, Pipeline: opts.TrainPipeline,
+				Workers: opts.TrainWorkers,
 			})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: CNN training: %w", err)

@@ -105,10 +105,9 @@ func init() {
 // trainFingerprint hashes everything the training trajectory depends
 // on besides the epoch budget: the data (shapes and bytes), batch
 // size, shuffle seed, clip norm, shard override, and the optimizer and
-// loss hyper-parameters. Workers, Pipeline and logging are excluded —
-// they never change the weights (the sharded engine's and the batch
-// pipeline's determinism contracts), so a checkpoint written with the
-// pipeline on resumes cleanly with it off and vice versa.
+// loss hyper-parameters. Workers and logging are excluded — they never
+// change the weights (the sharded engine's determinism contract), so a
+// checkpoint written at one worker count resumes cleanly at another.
 func trainFingerprint(x, y, xVal, yVal *tensor.Tensor, cfg TrainConfig) string {
 	h := sha256.New()
 	var buf [8]byte

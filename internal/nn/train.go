@@ -34,15 +34,6 @@ type TrainConfig struct {
 	// GOMAXPROCS — so the weights, epoch losses and History are
 	// bit-identical at every Workers value.
 	Workers int
-	// Pipeline overlaps the gather of batch t+1 with the gradient clip
-	// and optimizer step of batch t (double-buffered minibatches
-	// through the parallel.Async seam). Like Workers it is an
-	// execution-environment knob, not a training-configuration one: the
-	// gathered rows depend only on the shuffle cursor, never on the
-	// weights the optimizer is updating concurrently, so the weights,
-	// losses and History are bit-identical with the pipeline on or off
-	// — and it is excluded from the checkpoint fingerprint.
-	Pipeline bool
 	// Shards overrides the gradient-shard count per batch (0 = auto:
 	// ceil(rows/trainShardRows) capped at maxTrainShards). Unlike
 	// Workers, changing Shards changes the floating-point grouping of
@@ -216,77 +207,14 @@ func (e *shardEngine) runShard(rep *replica, x, y *tensor.Tensor, rows []int, to
 	yb := ensure2D(&rep.yb, n, y.Cols())
 	tensor.GatherRows(xb, x, rows)
 	tensor.GatherRows(yb, y, rows)
-	return e.runShardRows(rep, xb, yb, totalRows, chunk)
-}
-
-// runShardRows is the forward/backward half of runShard: xb/yb already
-// hold the shard's rows.
-func (e *shardEngine) runShardRows(rep *replica, xb, yb *tensor.Tensor, totalRows, chunk int) float64 {
 	pred := rep.net.Forward(xb)
-	grad := ensure2D(&rep.grad, xb.Rows(), yb.Cols())
+	grad := ensure2D(&rep.grad, n, yb.Cols())
 	lossVal := e.loss.ForwardShard(pred, yb, grad, totalRows)
 	buf := e.fold.Buffer(chunk) // chunk 0 writes the master grads in place
 	bindGrads(rep.params, e.sizes, buf)
 	rep.net.backwardTrain(grad)
 	e.fold.Deliver(chunk, buf)
 	return lossVal
-}
-
-// runBatchGathered is runBatch on a pre-gathered minibatch (the
-// pipelined trainer's path): shard c processes rows [s, t) of xb/yb as
-// zero-copy views instead of gathering them itself. Bit-identical to
-// runBatch over the same rows — the shards see the same row values
-// under the same shard decomposition, and the fold order is unchanged.
-func (e *shardEngine) runBatchGathered(xb, yb *tensor.Tensor) float64 {
-	rows := xb.Rows()
-	k := shardCount(rows, e.shards)
-	e.fold.Begin(e.flat, k)
-	if cap(e.shardLoss) < k {
-		e.shardLoss = make([]float64, k)
-	}
-	shardLoss := e.shardLoss[:k]
-	workers := len(e.reps)
-	if workers > k {
-		workers = k
-	}
-	parallel.ForPoolWorkers(k, workers, func(w, c int) {
-		s, t := parallel.ChunkBounds(rows, k, c)
-		shardLoss[c] = e.runShardRows(e.reps[w], rowView(xb, s, t), rowView(yb, s, t), rows, c)
-	})
-	var total float64
-	for _, l := range shardLoss {
-		total += l
-	}
-	return total
-}
-
-// rowView returns a zero-copy 2D view of rows [s, t) of a 2D tensor.
-func rowView(t *tensor.Tensor, s, e int) *tensor.Tensor {
-	c := t.Shape[1]
-	return &tensor.Tensor{Shape: []int{e - s, c}, Data: t.Data[s*c : e*c]}
-}
-
-// batchPipeline double-buffers gathered minibatches for the pipelined
-// trainer: while the optimizer steps batch t, the other buffer is
-// filled with batch t+1 on a parallel.Async goroutine. The prefetch
-// reads only the corpus and the shuffle permutation — both untouched
-// until the next epoch's shuffle, which runs after the last batch's
-// wait — and writes only the inactive buffer, so the overlap is
-// deterministic by construction. The first batch of every epoch is
-// gathered synchronously (there is nothing to overlap it with), and no
-// prefetch crosses an epoch boundary.
-type batchPipeline struct {
-	x, y       *tensor.Tensor
-	cur        int
-	bufX, bufY [2]*tensor.Tensor
-}
-
-// gather fills buffer slot with the given corpus rows.
-func (p *batchPipeline) gather(slot int, rows []int) {
-	xb := ensure2D(&p.bufX[slot], len(rows), p.x.Cols())
-	yb := ensure2D(&p.bufY[slot], len(rows), p.y.Cols())
-	tensor.GatherRows(xb, p.x, rows)
-	tensor.GatherRows(yb, p.y, rows)
 }
 
 // Fit trains the network on (x, y) with optional validation set
@@ -367,58 +295,23 @@ func fitLoop(net *Network, x, y, xVal, yVal *tensor.Tensor, cfg TrainConfig,
 	if logEvery <= 0 {
 		logEvery = 1
 	}
-	var pipe *batchPipeline
-	if cfg.Pipeline {
-		pipe = &batchPipeline{x: x, y: y}
-	}
 	for epoch := start; epoch < cfg.Epochs; epoch++ {
 		r.Shuffle(nSamples, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		var epochLoss float64
 		var batches int
-		if pipe != nil {
-			// First batch of the epoch: nothing to overlap, gather inline.
-			pipe.gather(pipe.cur, perm[:bs])
-		}
 		for bstart := 0; bstart < nSamples; bstart += bs {
 			bend := bstart + bs
 			if bend > nSamples {
 				bend = nSamples
 			}
-			var loss float64
-			var wait func()
-			if pipe != nil {
-				loss = eng.runBatchGathered(pipe.bufX[pipe.cur], pipe.bufY[pipe.cur])
-				if math.IsNaN(loss) || math.IsInf(loss, 0) {
-					return hist, fmt.Errorf("nn: non-finite loss %v at epoch %d batch %d", loss, epoch, batches)
-				}
-				// Prefetch batch t+1 into the inactive buffer while the
-				// clip + optimizer step below run on batch t's gradient.
-				// Launched only after the loss check so an error return
-				// never leaves a gather in flight; never crosses the
-				// epoch boundary (the next epoch reshuffles perm).
-				if bend < nSamples {
-					next := 1 - pipe.cur
-					nend := bend + bs
-					if nend > nSamples {
-						nend = nSamples
-					}
-					rows := perm[bend:nend]
-					wait = parallel.Async(func() { pipe.gather(next, rows) })
-				}
-			} else {
-				loss = eng.runBatch(x, y, perm[bstart:bend])
-				if math.IsNaN(loss) || math.IsInf(loss, 0) {
-					return hist, fmt.Errorf("nn: non-finite loss %v at epoch %d batch %d", loss, epoch, batches)
-				}
+			loss := eng.runBatch(x, y, perm[bstart:bend])
+			if math.IsNaN(loss) || math.IsInf(loss, 0) {
+				return hist, fmt.Errorf("nn: non-finite loss %v at epoch %d batch %d", loss, epoch, batches)
 			}
 			if cfg.ClipNorm > 0 {
 				ClipGradNorm(params, cfg.ClipNorm)
 			}
 			cfg.Optimizer.Step(params)
-			if wait != nil {
-				wait()
-				pipe.cur = 1 - pipe.cur
-			}
 			epochLoss += loss
 			batches++
 		}

@@ -131,39 +131,6 @@ func TestFitBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestPipelinedFitBitIdentical pins the pipelined trainer's contract:
-// overlapping the next batch's gather with the optimizer step changes
-// timing and nothing else. Weights, epoch losses and validation history
-// must match the serial gather path bit for bit, at several worker
-// counts, with a tail batch in play (n=72, bs=32: the last prefetch of
-// each epoch covers the 8-row tail).
-func TestPipelinedFitBitIdentical(t *testing.T) {
-	build := func() (*Network, error) {
-		return NewMLP(MLPConfig{InDim: 12, OutDim: 6, Hidden: 16, HiddenLayers: 2}, rng.New(915))
-	}
-	mkCfg := func(workers int, pipeline bool) TrainConfig {
-		return TrainConfig{Epochs: 3, BatchSize: 32, Optimizer: NewAdam(1e-3),
-			Loss: MSE{}, Seed: 5, Workers: workers, Pipeline: pipeline}
-	}
-	ref := runFit(t, build, 12, 6, 72, mkCfg(1, false))
-	for _, workers := range []int{1, 2, 8} {
-		got := runFit(t, build, 12, 6, 72, mkCfg(workers, true))
-		if what, ok := sameFit(ref, got); !ok {
-			t.Errorf("Pipeline Workers=%d differs from serial reference in %s", workers, what)
-		}
-	}
-	// Pipeline is an execution-environment knob: it must not move the
-	// checkpoint fingerprint, or a checkpoint written with the pipeline
-	// on would refuse to resume with it off.
-	r := rng.New(916)
-	x := randBatch(r, 8, 12)
-	y := randBatch(r, 8, 6)
-	on, off := mkCfg(1, true), mkCfg(1, false)
-	if trainFingerprint(x, y, nil, nil, on) != trainFingerprint(x, y, nil, nil, off) {
-		t.Error("Pipeline changes the train fingerprint; it must be excluded like Workers")
-	}
-}
-
 // Sharding must also hold for the physics-informed loss, whose
 // normalization mixes per-element and per-row terms — the shard seam
 // most likely to get a denominator wrong.

@@ -59,8 +59,8 @@
 //     (the longest is the ~120 µs batch-1 inference), so within a run
 //     the helpers stay hot; an idle process has them parked, costing
 //     nothing, within about a millisecond of its last loop.
-//  4. Coarse pools stay on plain goroutines. ForPool, ForPoolWorkers and
-//     Async run millisecond-to-second tasks (whole simulations, training
+//  4. Coarse pools stay on plain goroutines. ForPool and ForPoolWorkers
+//     run millisecond-to-second tasks (whole simulations, training
 //     shards); a join that spins is wrong at that scale and a wake-up is
 //     noise. While such a pool runs, the fine-grained loops inside its
 //     tasks run inline (poolDepth), as they always have.
@@ -127,23 +127,6 @@ func ForThreshold(n, threshold int, body func(start, end int)) {
 		return
 	}
 	body(0, n)
-}
-
-// Async runs task on its own goroutine and returns a wait function
-// that blocks until the task completes. It is the sanctioned seam for
-// one-shot overlap of two disjoint pieces of work — the pipelined
-// trainer uses it to gather batch t+1 while the optimizer steps batch
-// t. Determinism is the caller's contract: task must touch only state
-// the caller does not read or write before wait returns, so the
-// overlap changes timing and nothing else. wait must be called exactly
-// once before any of the task's outputs are used.
-func Async(task func()) (wait func()) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		task()
-	}()
-	return func() { <-done }
 }
 
 // ---------------------------------------------------------------------------

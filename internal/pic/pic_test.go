@@ -23,6 +23,19 @@ func fastConfig() Config {
 	return cfg
 }
 
+func TestDefaultConfigIsPaperSetup(t *testing.T) {
+	cfg := Default()
+	if cfg.Cells != 64 {
+		t.Errorf("Cells = %d, want 64", cfg.Cells)
+	}
+	if math.Abs(cfg.Length-2*math.Pi/3.06) > 1e-12 {
+		t.Errorf("Length = %v, want 2*pi/3.06", cfg.Length)
+	}
+	if cfg.Dt != 0.2 || cfg.ParticlesPerCell != 1000 || cfg.V0 != 0.2 {
+		t.Errorf("paper parameters wrong: %+v", cfg)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := Default()
 	if err := good.Validate(); err != nil {

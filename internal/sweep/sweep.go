@@ -290,9 +290,10 @@ func RunScenario(sc Scenario, m MethodSpec, opts Options) (res Result) {
 		res.Err = fmt.Errorf("sweep: scenario %q: method %q: %w", sc.Name, res.Method, err)
 		return res
 	}
-	res.TheoryGamma = theoryGamma(sc.Cfg)
+	res.TheoryGamma = TheoreticalGrowthRate(sc.Cfg)
 	if !opts.SkipFit {
-		res.Growth, res.FitOK = fitGrowth(&res.Rec)
+		fit, err := MeasureGrowthRate(&res.Rec)
+		res.Growth, res.FitOK = fit, err == nil
 	}
 	if total, err := res.Rec.Series("total"); err == nil {
 		res.EnergyVariation = diag.MaxRelativeVariation(total)
@@ -307,28 +308,27 @@ func RunScenario(sc Scenario, m MethodSpec, opts Options) (res Result) {
 	return res
 }
 
-// fitGrowth fits the exponential growth of the recorded mode amplitude
-// with an automatic window between the noise floor and saturation.
-func fitGrowth(rec *diag.Recorder) (diag.GrowthFit, bool) {
+// MeasureGrowthRate fits the exponential growth of the recorded
+// mode-amplitude series using an automatic window between the noise
+// floor (1 % of the peak) and saturation (30 % of it). It is the fit
+// behind every Result.Growth.
+func MeasureGrowthRate(rec *diag.Recorder) (diag.GrowthFit, error) {
 	amps, err := rec.Series("mode")
 	if err != nil {
-		return diag.GrowthFit{}, false
+		return diag.GrowthFit{}, err
 	}
 	times := rec.Times()
 	t0, t1, err := diag.AutoGrowthWindow(times, amps, 0.01, 0.3)
 	if err != nil {
-		return diag.GrowthFit{}, false
+		return diag.GrowthFit{}, err
 	}
-	fit, err := diag.FitGrowthRate(times, amps, t0, t1)
-	if err != nil {
-		return diag.GrowthFit{}, false
-	}
-	return fit, true
+	return diag.FitGrowthRate(times, amps, t0, t1)
 }
 
-// theoryGamma returns the cold two-stream linear growth rate of the
-// monitored mode for cfg.
-func theoryGamma(cfg pic.Config) float64 {
+// TheoreticalGrowthRate returns the cold two-stream linear growth rate
+// of the monitored mode for cfg (the "Linear Theory" slope of the
+// paper's Fig. 4). It is every Result.TheoryGamma.
+func TheoreticalGrowthRate(cfg pic.Config) float64 {
 	ts := theory.TwoStream{Wp: cfg.Wp, V0: cfg.V0, Vth: cfg.Vth}
 	k := 2 * math.Pi * float64(cfg.DiagMode) / cfg.Length
 	return ts.GrowthRate(k)

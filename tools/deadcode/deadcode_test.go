@@ -8,12 +8,13 @@ import (
 )
 
 // TestFixtureModule runs the gate over testdata/mod, whose cmd/app and
-// nested tools/extra module reach internal/lib directly, through an
-// interface, through a generic instantiation and through a closure.
-// Exactly four findings must come back: the unreached method and
-// function, the keep directive on a reached function, and the keep
-// directive without a reason. The build-tagged file and the kept
-// function must not be reported.
+// nested tools/extra module reach the root package directly and
+// internal/lib directly, through an interface, through a generic
+// instantiation and through a closure. Exactly five findings must come
+// back: the root package's unreached function, the unreached method
+// and function of internal/lib, the keep directive on a reached
+// function, and the keep directive without a reason. The build-tagged
+// file and the kept function must not be reported.
 func TestFixtureModule(t *testing.T) {
 	findings, err := run(filepath.Join("testdata", "mod"))
 	if err != nil {
@@ -30,6 +31,7 @@ func TestFixtureModule(t *testing.T) {
 	}
 	const lib = "example.com/dead/internal/lib."
 	want := []string{
+		"example.com/dead.Unlinked: reached by no binary",
 		lib + "Unreached: reached by no binary",
 		lib + "Square.Perimeter: reached by no binary",
 		lib + "Stale: stale //deadcode:keep: a binary reaches it",
@@ -51,11 +53,13 @@ func TestAddSymbols(t *testing.T) {
 		"  4a1600 T m/internal/a.(*Server).run.deferwrap1",
 		"  4a1700 D m/internal/a.DataOnly",
 		"  4a1800 T m/other.Plain",
+		"  4a1900 T m.Root",
 	}, "\n"))
 	reached := map[string]bool{}
+	addSymbols(reached, "m.", nm)
 	addSymbols(reached, "m/internal/", nm)
 	for _, key := range []string{
-		"m/internal/a.Plain", "m/internal/a.Collect", "m/internal/a.List.Push",
+		"m.Root", "m/internal/a.Plain", "m/internal/a.Collect", "m/internal/a.List.Push",
 		"m/internal/a.Value.String", "m/internal/a.Outer", "m/internal/a.Server.run",
 	} {
 		if !reached[key] {

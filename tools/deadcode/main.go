@@ -1,11 +1,12 @@
-// Command deadcode fails (exit 1) when a function under the module's
-// internal/ directory is linked into none of the repository's
-// binaries. It builds every `package main` in the module tree, nested
-// modules such as tools/bench included, with inlining off
+// Command deadcode fails (exit 1) when a function in the module's root
+// package or under its internal/ directory is linked into none of the
+// repository's binaries. It builds every `package main` in the module
+// tree, nested modules such as tools/bench included, with inlining off
 // (-gcflags=all=-l) so the linker's own reachability decides what
 // survives, reads each binary's symbols with `go tool nm`, and compares
-// them with every non-test function declaration under internal/ in the
-// files the default build compiles. Run through `make deadcode` as:
+// them with every non-test function declaration of the root package
+// and under internal/ in the files the default build compiles. Run
+// through `make deadcode` as:
 //
 //	go run ./tools/deadcode
 //
@@ -83,9 +84,10 @@ func run(root string) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		addSymbols(reached, modPath+".", syms)
 		addSymbols(reached, modPath+"/internal/", syms)
 	}
-	decls, err := internalFuncs(root, modPath)
+	decls, err := moduleFuncs(root, modPath)
 	if err != nil {
 		return nil, err
 	}
@@ -144,8 +146,9 @@ func findMains(root string) ([]mainPkg, error) {
 	return mains, err
 }
 
-// addSymbols marks, for every text symbol in nm's output that belongs
-// to a package under prefix, the key of the declaration it was compiled
+// addSymbols marks, for every text symbol in nm's output that starts
+// with prefix (`mod/internal/` for the packages under internal/, `mod.`
+// for the root package), the key of the declaration it was compiled
 // from. Generic instantiations (`F[go.shape.int]`, `(*T[...]).M`) lose
 // their brackets, a pointer receiver `(*T).M` reads as `T.M`, and a
 // closure or wrapper (`F.func1`, `T.M.deferwrap1`) keeps only the
@@ -164,7 +167,7 @@ func addSymbols(reached map[string]bool, prefix string, nm []byte) {
 		if !strings.HasPrefix(sym, prefix) {
 			continue
 		}
-		slash := strings.LastIndexByte(sym, '/')
+		slash := strings.LastIndexByte(sym, '/') + 1
 		dot := strings.IndexByte(sym[slash:], '.')
 		if dot < 0 {
 			continue
@@ -200,7 +203,7 @@ func stripBrackets(s string) string {
 	return b.String()
 }
 
-// funcDecl is one non-test function declaration under internal/: its
+// funcDecl is one non-test function declaration the gate checks: its
 // position, its symbol key (`pkgpath.F` or `pkgpath.T.M`) and its keep
 // directive, if any.
 type funcDecl struct {
@@ -210,23 +213,19 @@ type funcDecl struct {
 	keepErr string
 }
 
-// internalFuncs lists the function declarations of every package under
-// root/internal, reading only the files go/build selects for the
-// default build context (so a file behind a build tag the binaries are
-// not built with is not checked), in position order: the walk is
-// lexical and go/build lists each package's files sorted.
-func internalFuncs(root, modPath string) ([]funcDecl, error) {
+// moduleFuncs lists the function declarations of the root package
+// (unless it is a main package, whose symbols are not under the module
+// path) and of every package under root/internal, reading only the
+// files go/build selects for the default build context (so a file
+// behind a build tag the binaries are not built with is not checked),
+// in position order: the root package comes first, the walk is lexical
+// and go/build lists each package's files sorted.
+func moduleFuncs(root, modPath string) ([]funcDecl, error) {
 	fset := token.NewFileSet()
 	var decls []funcDecl
-	err := filepath.WalkDir(filepath.Join(root, "internal"), func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
-			return filepath.SkipDir
-		}
+	addPackage := func(dir string) error {
 		pkg, err := importDir(dir)
-		if err != nil || pkg == nil {
+		if err != nil || pkg == nil || pkg.Name == "main" {
 			return err
 		}
 		rel, err := filepath.Rel(root, dir)
@@ -240,14 +239,24 @@ func internalFuncs(root, modPath string) ([]funcDecl, error) {
 				return err
 			}
 			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					decls = append(decls, newFuncDecl(fset, pkgPath, fd))
 				}
-				decls = append(decls, newFuncDecl(fset, pkgPath, fd))
 			}
 		}
 		return nil
+	}
+	if err := addPackage(root); err != nil {
+		return nil, err
+	}
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+			return filepath.SkipDir
+		}
+		return addPackage(dir)
 	})
 	return decls, err
 }
